@@ -36,23 +36,23 @@ RealMatrix random_pm_one(std::size_t rows, std::size_t cols,
   return a;
 }
 
-void BM_JacobiEigenvalues(benchmark::State& state) {
+void BM_SymmetricEigenvalues(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto a = random_symmetric(n, 3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(symmetric_eigenvalues(a).front());
   }
 }
-BENCHMARK(BM_JacobiEigenvalues)->RangeMultiplier(2)->Range(8, 128);
+BENCHMARK(BM_SymmetricEigenvalues)->RangeMultiplier(2)->Range(8, 256);
 
-void BM_JacobiFullDecomposition(benchmark::State& state) {
+void BM_SymmetricEigenDecomposition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto a = random_symmetric(n, 5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(symmetric_eigen(a).values.front());
   }
 }
-BENCHMARK(BM_JacobiFullDecomposition)->RangeMultiplier(2)->Range(8, 64);
+BENCHMARK(BM_SymmetricEigenDecomposition)->RangeMultiplier(2)->Range(8, 256);
 
 void BM_RankGaussian(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

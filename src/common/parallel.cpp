@@ -183,22 +183,4 @@ std::size_t fair_thread_share(std::size_t active_requests) {
   return std::max<std::size_t>(1, pool / active_requests);
 }
 
-double parallel_reduce_sum(std::size_t begin, std::size_t end,
-                           const std::function<double(std::size_t)>& body,
-                           std::size_t min_parallel_size) {
-  if (begin >= end) return 0.0;
-  Mutex sum_mutex;
-  double total = 0.0;
-  parallel_for_chunked(
-      begin, end,
-      [&](std::size_t lo, std::size_t hi) {
-        double local = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) local += body(i);
-        MutexLock lock(sum_mutex);
-        total += local;
-      },
-      min_parallel_size);
-  return total;
-}
-
 }  // namespace qtda

@@ -1,12 +1,12 @@
 /// \file parallel.hpp
 /// \brief Shared-memory parallel primitives used by the hot kernels.
 ///
-/// The state-vector simulator and the experiment sweeps are embarrassingly
-/// parallel; this header provides a cached thread pool with a blocking
-/// parallel_for and a parallel reduction.  When OpenMP is available the
-/// simulator kernels additionally use `#pragma omp` directly; the pool is the
-/// portable fallback and the mechanism for task-level parallelism (e.g. one
-/// random complex per worker in the Fig. 3 sweep).
+/// A cached thread pool with a blocking parallel_for and an ordered
+/// reduction.  What runs on it: the dense engine's marginal and norm
+/// reductions above 2^17 amplitudes, the operator gates' batches of
+/// right-hand sides, the sharded engine's slab steps, and task-level
+/// sweeps (e.g. one random complex per worker in the Fig. 3 sweep).  The
+/// dense engine's gate kernels are serial.
 #pragma once
 
 #include <algorithm>
@@ -92,13 +92,6 @@ void parallel_for_chunked(
     const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t min_parallel_size = 1024);
 
-/// Parallel sum-reduction of body(i) over [begin, end).  The chunk partials
-/// are merged in completion order, so the floating-point result can jitter
-/// between runs; use parallel_reduce_ordered where reproducibility matters.
-double parallel_reduce_sum(std::size_t begin, std::size_t end,
-                           const std::function<double(std::size_t)>& body,
-                           std::size_t min_parallel_size = 1024);
-
 /// Contiguous-chunk split of an ordered reduction: how many chunks and how
 /// wide.  A fixed function of the range length, the serial threshold and
 /// the shared-pool size — every ordered reduction that must merge partial
@@ -127,7 +120,7 @@ inline OrderedReductionPlan ordered_reduction_plan(
 /// with `merge(result, partial)` in chunk order.  Because both the split
 /// and the merge order are fixed functions of the pool size, the result is
 /// reproducible run-to-run on a given machine — the property the sampling
-/// cumulative sums need — unlike parallel_reduce_sum's arrival-order merge.
+/// cumulative sums need.
 template <typename Partial, typename Body, typename Merge>
 void parallel_reduce_ordered(std::size_t begin, std::size_t end,
                              Partial& result, const Partial& identity,

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "core/analytic_qpe.hpp"
-#include "linalg/symmetric_eigen.hpp"
 #include "quantum/types.hpp"
 
 namespace qtda {
@@ -18,7 +17,9 @@ EstimatorErrorAnalysis analyze_estimator_error(const RealMatrix& laplacian,
   const PaddedLaplacian padded = pad_laplacian(laplacian, padding);
   const double used_delta = delta > 0.0 ? delta : default_delta();
   const ScaledHamiltonian scaled = rescale_laplacian(padded, used_delta);
-  const RealVector eigenvalues = symmetric_eigenvalues(scaled.matrix);
+  const RealVector eigenvalues =
+      scaled_padded_spectrum(laplacian, scaled.num_qubits, scaled.lambda_max,
+                             scaled.scale, padding);
 
   EstimatorErrorAnalysis analysis;
   analysis.system_qubits = scaled.num_qubits;

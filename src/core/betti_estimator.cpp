@@ -335,9 +335,10 @@ BettiEstimate estimate_betti_from_laplacian(const RealMatrix& laplacian,
   // Analytic reference p(0) of the exact H (used by every backend as the
   // ground-truth probability; the Trotter backend will deviate from it by
   // its splitting error).
-  const RealVector eigenvalues = symmetric_eigenvalues(scaled.matrix);
-  estimate.exact_zero_probability =
-      analytic_zero_probability(eigenvalues, options.precision_qubits);
+  estimate.exact_zero_probability = analytic_zero_probability(
+      scaled_padded_spectrum(laplacian, scaled.num_qubits, scaled.lambda_max,
+                             scaled.scale, options.padding),
+      options.precision_qubits);
 
   Rng rng(options.seed);
   const std::uint64_t dim = std::uint64_t{1} << scaled.num_qubits;
@@ -382,12 +383,13 @@ CompiledEstimate compile_betti_estimate(const SparseMatrix& laplacian,
 
   const std::uint64_t dim = std::uint64_t{1} << scaled.num_qubits;
   if (dim <= options.exact_reference_max_dim) {
-    // Diagnostic dense eigensolve, feasible only at small q; the estimate
+    // Diagnostic reference from the dense |S_k|×|S_k| block; the estimate
     // itself is matrix-free.
-    const RealVector eigenvalues =
-        symmetric_eigenvalues(scaled.matrix.to_dense());
-    compiled.exact_zero_probability =
-        analytic_zero_probability(eigenvalues, options.precision_qubits);
+    compiled.exact_zero_probability = analytic_zero_probability(
+        scaled_padded_spectrum(laplacian.to_dense(), scaled.num_qubits,
+                               scaled.lambda_max, scaled.scale,
+                               options.padding),
+        options.precision_qubits);
   }
 
   compiled.purify = options.mixed_state == MixedStateMode::kPurification;

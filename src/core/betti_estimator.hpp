@@ -93,9 +93,11 @@ struct EstimatorOptions {
   TrotterOptions trotter;
   NoiseModel noise;                  ///< only honoured by circuit backends
   std::uint64_t seed = 42;           ///< shot-sampling RNG seed
-  /// kCircuitSparse only: skip the dense eigensolve that fills
-  /// exact_zero_probability once 2^q exceeds this (the estimate itself
-  /// never needs it; the reference value is a diagnostic).
+  /// Plan-based backends (kCircuitSparse, kCircuitTrotter) only: skip the
+  /// eigensolve that fills exact_zero_probability once 2^q exceeds this (the
+  /// estimate itself never needs it; the reference value is a diagnostic).
+  /// The reference eigensolves the unpadded |S_k|×|S_k| Laplacian, O(|S_k|³)
+  /// time and O(|S_k|²) memory.
   std::size_t exact_reference_max_dim = 4096;
 };
 
@@ -175,9 +177,10 @@ struct CompiledEstimate {
 
 /// Builds and compiles everything about an estimate that does not depend on
 /// the per-request shot state (seed, shots, engine choice): pad → rescale →
-/// circuit → ExecutionPlan, plus the diagnostic dense eigensolve when the
-/// dimension permits.  Requires kCircuitSparse or kCircuitTrotter (the
-/// backends whose circuits the plan cache serves).
+/// circuit → ExecutionPlan, plus the diagnostic reference p(0) from the
+/// |S_k|×|S_k| block when 2^q ≤ exact_reference_max_dim.  Requires
+/// kCircuitSparse or kCircuitTrotter (the backends whose circuits the plan
+/// cache serves).
 CompiledEstimate compile_betti_estimate(const SparseMatrix& laplacian,
                                         const EstimatorOptions& options);
 

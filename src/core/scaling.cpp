@@ -1,7 +1,10 @@
 #include "core/scaling.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "linalg/matrix_ops.hpp"
+#include "linalg/symmetric_eigen.hpp"
 #include "quantum/types.hpp"
 
 namespace qtda {
@@ -42,6 +45,26 @@ SparseScaledHamiltonian rescale_laplacian_sparse(
   out.original_dim = padded.original_dim;
   out.matrix = padded.matrix.scaled(out.scale);
   return out;
+}
+
+RealVector scaled_padded_spectrum(const RealMatrix& laplacian,
+                                  std::size_t num_qubits, double lambda_max,
+                                  double scale, PaddingScheme scheme) {
+  const std::size_t dim = std::size_t{1} << num_qubits;
+  QTDA_REQUIRE(laplacian.rows() <= dim,
+               laplacian.rows() << " rows do not fit " << num_qubits
+                                << " qubits");
+  RealVector spectrum = symmetric_eigenvalues(laplacian);
+  const std::size_t block = spectrum.size();
+  spectrum.resize(dim, scheme == PaddingScheme::kIdentityHalfLambdaMax
+                           ? lambda_max / 2.0
+                           : 0.0);
+  for (double& value : spectrum) value *= scale;
+  // Both runs are ascending (scale > 0); merge them.
+  std::inplace_merge(spectrum.begin(),
+                     spectrum.begin() + static_cast<std::ptrdiff_t>(block),
+                     spectrum.end());
+  return spectrum;
 }
 
 }  // namespace qtda

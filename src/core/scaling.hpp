@@ -59,4 +59,13 @@ struct SparseScaledHamiltonian {
 SparseScaledHamiltonian rescale_laplacian_sparse(
     const SparsePaddedLaplacian& padded, double delta = default_delta());
 
+/// Ascending spectrum of the padded, rescaled Hamiltonian H = scale·Δ̃ on
+/// \p num_qubits qubits, from the |S_k|×|S_k| block alone.  Δ̃ = Δ_k ⊕ c·I
+/// with c = λ̃max/2 (kIdentityHalfLambdaMax) or 0 (kZero), so its spectrum
+/// is eig(Δ_k) plus c repeated 2^q − |S_k| times: one O(|S_k|³) eigensolve
+/// instead of one on the 2^q×2^q padded matrix.
+RealVector scaled_padded_spectrum(const RealMatrix& laplacian,
+                                  std::size_t num_qubits, double lambda_max,
+                                  double scale, PaddingScheme scheme);
+
 }  // namespace qtda

@@ -1,11 +1,11 @@
 /// \file symmetric_eigen.hpp
-/// \brief Cyclic Jacobi eigensolver for real symmetric matrices.
-///
-/// The combinatorial Laplacians in this reproduction are at most a few
-/// hundred rows, where the Jacobi method is simple, numerically excellent
-/// (it computes small eigenvalues to high relative accuracy — exactly what
-/// kernel counting needs) and trivially correct.  Eigenvalues are returned
-/// in ascending order with matching eigenvectors.
+/// \brief Real symmetric eigensolver: Householder tridiagonalization, then
+/// implicit QL with Wilkinson shifts (Golub & Van Loan, *Matrix
+/// Computations*, 4th ed., §8.3).  O(n³) for the reduction, O(n²) for the
+/// eigenvalues, and O(n³) more only when eigenvectors are asked for.  Both
+/// stages are backward stable: the absolute error of every eigenvalue is
+/// about ε‖A‖ (~1e-15 on the Laplacians here), far below the 1e-8 kernel
+/// tolerance.  Eigenvalues come back ascending with matching eigenvectors.
 #pragma once
 
 #include "linalg/dense_matrix.hpp"
@@ -16,23 +16,14 @@ namespace qtda {
 struct SymmetricEigenResult {
   RealVector values;   ///< ascending eigenvalues
   RealMatrix vectors;  ///< column j is the eigenvector of values[j]
-  std::size_t sweeps = 0;  ///< Jacobi sweeps used
-};
-
-/// Options for the Jacobi iteration.
-struct JacobiOptions {
-  double tolerance = 1e-12;   ///< off-diagonal Frobenius threshold (relative)
-  std::size_t max_sweeps = 100;
 };
 
 /// Full eigendecomposition of a symmetric matrix.  Throws on non-symmetric
 /// input (tolerance 1e-9 relative to the largest entry) or non-convergence.
-SymmetricEigenResult symmetric_eigen(const RealMatrix& a,
-                                     const JacobiOptions& options = {});
+SymmetricEigenResult symmetric_eigen(const RealMatrix& a);
 
-/// Eigenvalues only (still Jacobi, skips the accumulation of V).
-RealVector symmetric_eigenvalues(const RealMatrix& a,
-                                 const JacobiOptions& options = {});
+/// Eigenvalues only (same solver; no eigenvector accumulation).
+RealVector symmetric_eigenvalues(const RealMatrix& a);
 
 /// Number of eigenvalues with |λ| ≤ tol — the kernel dimension, i.e. the
 /// Betti number when \p a is a combinatorial Laplacian.

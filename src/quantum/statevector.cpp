@@ -14,7 +14,7 @@ namespace qtda {
 
 namespace {
 
-/// Below this state size the OpenMP fork/join overhead dominates
+/// Below this state size the parallel fork/join overhead dominates
 /// (measured: parallel dispatch on 2^14-amplitude states made the exact
 /// density-matrix ablation ~10x slower than serial kernels).  Shared with
 /// the sharded engine (statevector.hpp) so both backends pick identical

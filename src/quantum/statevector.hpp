@@ -2,9 +2,11 @@
 /// \brief Dense state-vector simulator, templated over the amplitude scalar.
 ///
 /// Amplitudes are stored for all 2^n basis states under the MSB-first qubit
-/// convention of types.hpp.  Gate kernels are cache-friendly strided loops,
-/// parallelized with OpenMP above a size threshold (the state for the
-/// paper's circuits ranges from 2^3 to 2^20 amplitudes).
+/// convention of types.hpp.  Gate kernels are cache-friendly strided loops
+/// and run serially at every size (the state for the paper's circuits
+/// ranges from 2^3 to 2^20 amplitudes).  The shared pool runs the ordered
+/// reductions behind marginals and norms above kStatevectorParallelThreshold
+/// and the operator gates' batches of right-hand sides.
 ///
 /// The engine is `BasicStatevector<Real>` with `Real` ∈ {double, float}
 /// (explicitly instantiated in statevector.cpp): complex128 is the default

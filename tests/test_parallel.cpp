@@ -129,19 +129,6 @@ TEST(ParallelReduceOrdered, MatchesSerialAndIsReproducible) {
   EXPECT_NEAR(first, serial, 1e-6 * serial);
 }
 
-TEST(ParallelReduceSum, MatchesSerialSum) {
-  const std::size_t n = 50000;
-  const double parallel_total = parallel_reduce_sum(
-      0, n, [](std::size_t i) { return static_cast<double>(i); }, 1);
-  const double expected = static_cast<double>(n) * (n - 1) / 2.0;
-  EXPECT_DOUBLE_EQ(parallel_total, expected);
-}
-
-TEST(ParallelReduceSum, EmptyRangeIsZero) {
-  EXPECT_DOUBLE_EQ(
-      parallel_reduce_sum(3, 3, [](std::size_t) { return 1.0; }), 0.0);
-}
-
 TEST(HardwareConcurrency, AtLeastOne) {
   EXPECT_GE(hardware_concurrency(), 1u);
 }

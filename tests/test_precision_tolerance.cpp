@@ -109,8 +109,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SimulatorKind::kStatevector,
                       SimulatorKind::kShardedStatevector,
                       SimulatorKind::kDensityMatrix),
-    [](const ::testing::TestParamInfo<SimulatorKind>& info) {
-      std::string name = simulator_kind_name(info.param);
+    [](const ::testing::TestParamInfo<SimulatorKind>& param_info) {
+      std::string name = simulator_kind_name(param_info.param);
       for (char& ch : name)
         if (ch == '-') ch = '_';
       return name;

@@ -217,7 +217,8 @@ TEST(Statevector, NormalizeAndInnerProduct) {
 }
 
 TEST(Statevector, LargeRegisterParallelPathConsistent) {
-  // Exercise the OpenMP path (2^16 amplitudes) against small-state logic.
+  // A 2^16-amplitude register against small-state logic (serial kernels;
+  // the pool's reductions start at kStatevectorParallelThreshold).
   const std::size_t n = 16;
   Statevector s(n);
   for (std::size_t q = 0; q < n; ++q) s.apply_single_qubit(gates::H(), q);
