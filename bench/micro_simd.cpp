@@ -1,6 +1,6 @@
 /// \file micro_simd.cpp
-/// \brief google-benchmark microbenches for the four vectorized hot loops,
-/// each at {double, float} × {scalar, simd}.
+/// \brief google-benchmark microbenches for the vectorized hot loops, each
+/// at {double, float} × {scalar, simd}.
 ///
 /// The kernels take the dispatch level as an argument, so the scalar and
 /// vector variants of one loop run in one process on identical data — the
@@ -112,39 +112,68 @@ BENCHMARK(BM_BlockMatvec<double>)->Arg(0)->Arg(1);
 BENCHMARK(BM_BlockMatvec<float>)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
-// CSR matvec (Chebyshev oracle inner loop): path-graph Laplacian rows.
+// Blocked Chebyshev oracle: the CSR product over an interleaved block of
+// eight right-hand sides, and the recurrence's elementwise step over the
+// same block.  Laplacian-like rows: four nonzeros clustered near the
+// diagonal (the oracle's Laplacians average about three).
 // ---------------------------------------------------------------------------
 
+constexpr std::size_t kOracleRows = 1ULL << 12;
+constexpr std::size_t kOracleWidth = 8;
+
 template <typename R>
-void BM_CsrMatvec(benchmark::State& state) {
+void BM_CsrSpmm(benchmark::State& state) {
   const SimdLevel level = level_for(state.range(0));
-  const std::size_t rows = 1ULL << 14;
-  std::vector<std::size_t> offsets(rows + 1);
+  std::vector<std::size_t> offsets(kOracleRows + 1);
   std::vector<std::size_t> cols;
   std::vector<R> vals;
   Rng rng(29);
-  for (std::size_t r = 0; r < rows; ++r) {
+  for (std::size_t r = 0; r < kOracleRows; ++r) {
     offsets[r] = cols.size();
-    // ~16 nonzeros per row, clustered near the diagonal (simplicial
-    // Laplacians are banded-ish).
-    for (std::size_t k = 0; k < 16; ++k) {
-      cols.push_back((r + 3 * k) % rows);
+    for (std::size_t k = 0; k < 4; ++k) {
+      cols.push_back((r + 3 * k) % kOracleRows);
       vals.push_back(static_cast<R>(rng.uniform() - 0.5));
     }
   }
-  offsets[rows] = cols.size();
-  const auto x = random_amps<R>(rows, 31);
-  std::vector<std::complex<R>> y(rows);
+  offsets[kOracleRows] = cols.size();
+  const auto x = random_amps<R>(kOracleRows * kOracleWidth, 31);
+  std::vector<std::complex<R>> y(kOracleRows * kOracleWidth);
   for (auto _ : state) {
-    simd::csr_matvec_rows(level, offsets.data(), cols.data(), vals.data(),
-                          x.data(), y.data(), 0, rows);
+    simd::csr_spmm_rows(level, offsets.data(), cols.data(), vals.data(),
+                        x.data(), y.data(), kOracleWidth, 0, kOracleRows);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(cols.size() * kOracleWidth));
+}
+BENCHMARK(BM_CsrSpmm<double>)->Arg(0)->Arg(1);
+BENCHMARK(BM_CsrSpmm<float>)->Arg(0)->Arg(1);
+
+template <typename R>
+void BM_ChebyshevStep(benchmark::State& state) {
+  const SimdLevel level = level_for(state.range(0));
+  const std::size_t n = kOracleRows * kOracleWidth;
+  const auto s = random_amps<R>(n, 37);
+  const auto t_cur = random_amps<R>(n, 41);
+  auto t_prev = random_amps<R>(n, 43);
+  auto y = random_amps<R>(n, 47);
+  // Repeated in place, t_prev alternates between two values and y grows
+  // linearly, so every iteration stays finite.
+  const R center = static_cast<R>(0.25);
+  const R inv_h = static_cast<R>(0.25);
+  const std::complex<R> ak{static_cast<R>(0.3), static_cast<R>(-0.2)};
+  for (auto _ : state) {
+    simd::chebyshev_step(level, n, s.data(), t_cur.data(), t_prev.data(),
+                         y.data(), center, inv_h, ak);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(cols.size()));
+                          static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_CsrMatvec<double>)->Arg(0)->Arg(1);
-BENCHMARK(BM_CsrMatvec<float>)->Arg(0)->Arg(1);
+BENCHMARK(BM_ChebyshevStep<double>)->Arg(0)->Arg(1);
+BENCHMARK(BM_ChebyshevStep<float>)->Arg(0)->Arg(1);
 
 }  // namespace

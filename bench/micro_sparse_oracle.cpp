@@ -10,14 +10,21 @@
 ///  * dense-amortized: eigendecomposition hoisted out of the loop; only
 ///            unitary assembly + application are timed (the marginal cost
 ///            of one extra power in a QPE circuit).
-///  * sparse: Chebyshev coefficients + num_terms() CSR matvecs — the
+///  * sparse: Chebyshev coefficients + num_terms() CSR passes — the
 ///            kCircuitSparse path.  Nothing 2^q×2^q is ever allocated, so
 ///            it keeps scaling (q = 12 here) after the dense oracle has
 ///            left the building.
+///
+/// BM_SparseOracleBatch times the oracle alone on gathered batches of
+/// right-hand sides, as the engines call it: a partial block (4), a few
+/// blocks (64) and the ~380-vector batches of the cold-features workload
+/// (512), in vectors per second of wall time.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <complex>
 #include <memory>
+#include <vector>
 
 #include "common/random.hpp"
 #include "core/padding.hpp"
@@ -119,6 +126,28 @@ void BM_SparseOracleControlledPower(benchmark::State& state) {
       static_cast<double>(fixture.sparse.matrix.nonzeros());
 }
 
+void BM_SparseOracleBatch(benchmark::State& state) {
+  const OracleFixture fixture(7);
+  const std::size_t count = static_cast<std::size_t>(state.range(0));
+  const SparseExpOperator op(fixture.sparse.matrix, kBenchPower,
+                             fixture.sparse.spectrum_min(),
+                             fixture.sparse.spectrum_max());
+  const std::size_t d = op.dimension();
+  Rng rng(17);
+  std::vector<std::complex<double>> x(count * d), y(count * d);
+  for (auto& v : x) v = {rng.uniform() - 0.5, rng.uniform() - 0.5};
+  for (auto _ : state) {
+    op.apply_batch(x.data(), y.data(), count);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["q"] = static_cast<double>(fixture.q);
+  state.counters["terms"] = static_cast<double>(op.num_terms());
+  state.counters["vectors_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(count),
+      benchmark::Counter::kIsRate);
+}
+
 }  // namespace
 
 // Dense stops at q = 9: the eigendecomposition alone is already ~minutes
@@ -129,3 +158,6 @@ BENCHMARK(BM_DenseOracleAmortized)->DenseRange(8, 9)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SparseOracleControlledPower)->DenseRange(8, 12, 2)
     ->Unit(benchmark::kMillisecond);
+// The batch runs on the shared pool: real time, not the caller's CPU time.
+BENCHMARK(BM_SparseOracleBatch)->Arg(4)->Arg(64)->Arg(512)
+    ->Unit(benchmark::kMicrosecond)->UseRealTime();

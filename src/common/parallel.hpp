@@ -3,10 +3,12 @@
 ///
 /// A cached thread pool with a blocking parallel_for and an ordered
 /// reduction.  What runs on it: the dense engine's marginal and norm
-/// reductions above 2^17 amplitudes, the operator gates' batches of
-/// right-hand sides, the sharded engine's slab steps, and task-level
-/// sweeps (e.g. one random complex per worker in the Fig. 3 sweep).  The
-/// dense engine's gate kernels are serial.
+/// reductions above 2^17 amplitudes, the Chebyshev oracle's blocks of eight
+/// right-hand sides (one contiguous chunk of blocks per worker) and, for a
+/// batch of a single block, its CSR passes split by rows above 4096 rows,
+/// the sharded engine's slab steps, and task-level sweeps (e.g. one random
+/// complex per worker in the Fig. 3 sweep).  The dense engine's gate
+/// kernels are serial.
 #pragma once
 
 #include <algorithm>

@@ -14,20 +14,19 @@ EstimatorErrorAnalysis analyze_estimator_error(const RealMatrix& laplacian,
                                                PaddingScheme padding,
                                                double kernel_tolerance) {
   QTDA_REQUIRE(precision_qubits >= 1, "need at least one precision qubit");
-  const PaddedLaplacian padded = pad_laplacian(laplacian, padding);
-  const double used_delta = delta > 0.0 ? delta : default_delta();
-  const ScaledHamiltonian scaled = rescale_laplacian(padded, used_delta);
-  const RealVector eigenvalues =
-      scaled_padded_spectrum(laplacian, scaled.num_qubits, scaled.lambda_max,
-                             scaled.scale, padding);
+  const PaddingShape shape = padding_shape(laplacian);
+  const double scale = rescale_factor(
+      shape.lambda_max, delta > 0.0 ? delta : default_delta());
+  const RealVector eigenvalues = scaled_padded_spectrum(
+      laplacian, shape.num_qubits, shape.lambda_max, scale, padding);
 
   EstimatorErrorAnalysis analysis;
-  analysis.system_qubits = scaled.num_qubits;
-  const double dim = std::pow(2.0, static_cast<double>(scaled.num_qubits));
+  analysis.system_qubits = shape.num_qubits;
+  const double dim = std::pow(2.0, static_cast<double>(shape.num_qubits));
 
   // Kernel count and spectral gap on the *scaled* spectrum; the scaled
   // kernel tolerance follows the rescaling factor.
-  const double scaled_tolerance = kernel_tolerance * scaled.scale;
+  const double scaled_tolerance = kernel_tolerance * scale;
   double gap_phase = 1.0;
   for (double lambda : eigenvalues) {
     if (std::abs(lambda) <= scaled_tolerance) {

@@ -321,35 +321,39 @@ BettiEstimate estimate_betti_from_laplacian(const RealMatrix& laplacian,
   }
   validate_options(options);
 
-  const PaddedLaplacian padded = pad_laplacian(laplacian, options.padding);
+  // q, λ̃max and the scale come from |S_k| and the Gershgorin bound; only
+  // the dense circuit backends below form the padded 2^q×2^q matrices.
+  const PaddingShape shape = padding_shape(laplacian);
   const double delta = options.delta > 0.0 ? options.delta : default_delta();
-  const ScaledHamiltonian scaled = rescale_laplacian(padded, delta);
+  const double scale = rescale_factor(shape.lambda_max, delta);
 
   BettiEstimate estimate;
   estimate.shots = options.shots;
-  estimate.system_qubits = scaled.num_qubits;
+  estimate.system_qubits = shape.num_qubits;
   estimate.precision_qubits = options.precision_qubits;
-  estimate.lambda_max = scaled.lambda_max;
+  estimate.lambda_max = shape.lambda_max;
   estimate.delta = delta;
 
   // Analytic reference p(0) of the exact H (used by every backend as the
   // ground-truth probability; the Trotter backend will deviate from it by
   // its splitting error).
   estimate.exact_zero_probability = analytic_zero_probability(
-      scaled_padded_spectrum(laplacian, scaled.num_qubits, scaled.lambda_max,
-                             scaled.scale, options.padding),
+      scaled_padded_spectrum(laplacian, shape.num_qubits, shape.lambda_max,
+                             scale, options.padding),
       options.precision_qubits);
 
   Rng rng(options.seed);
-  const std::uint64_t dim = std::uint64_t{1} << scaled.num_qubits;
+  const std::uint64_t dim = std::uint64_t{1} << shape.num_qubits;
   const bool purify = options.mixed_state == MixedStateMode::kPurification;
 
   if (options.backend == EstimatorBackend::kAnalytic) {
     estimate.zero_counts = sample_zero_counts(
         estimate.exact_zero_probability, options.shots, rng);
-    estimate.total_qubits = options.precision_qubits + scaled.num_qubits +
-                            (purify ? scaled.num_qubits : 0);
+    estimate.total_qubits = options.precision_qubits + shape.num_qubits +
+                            (purify ? shape.num_qubits : 0);
   } else {
+    const ScaledHamiltonian scaled =
+        rescale_laplacian(pad_laplacian(laplacian, options.padding), delta);
     const Circuit circuit = build_estimator_circuit(scaled, options, purify);
     const QpeLayout layout = make_layout(options, scaled.num_qubits, purify);
     execute_circuit_estimate(estimate, circuit, layout, options, purify, rng);

@@ -45,24 +45,28 @@ bool sparse_is_symmetric(const SparseMatrix& a, double tolerance) {
 
 }  // namespace
 
-PaddedLaplacian pad_laplacian(const RealMatrix& laplacian,
-                              PaddingScheme scheme) {
+PaddingShape padding_shape(const RealMatrix& laplacian) {
   QTDA_REQUIRE(laplacian.is_square() && laplacian.rows() > 0,
                "padding needs a non-empty square matrix");
   QTDA_REQUIRE(is_symmetric(laplacian, 1e-9),
                "combinatorial Laplacian must be symmetric");
+  PaddingShape shape;
+  shape.num_qubits = padded_qubits(laplacian.rows());
+  // λ̃max via Gershgorin; floored so a zero Laplacian still separates the
+  // padding block from the kernel.
+  shape.lambda_max = std::max(gershgorin_max(laplacian), 1.0);
+  return shape;
+}
 
+PaddedLaplacian pad_laplacian(const RealMatrix& laplacian,
+                              PaddingScheme scheme) {
+  const PaddingShape shape = padding_shape(laplacian);
   PaddedLaplacian out;
   out.original_dim = laplacian.rows();
   out.scheme = scheme;
-
-  const std::size_t q = padded_qubits(out.original_dim);
-  out.num_qubits = q;
-  const std::size_t dim = std::size_t{1} << q;
-
-  // λ̃max via Gershgorin; floored so a zero Laplacian still separates the
-  // padding block from the kernel.
-  out.lambda_max = std::max(gershgorin_max(laplacian), 1.0);
+  out.num_qubits = shape.num_qubits;
+  out.lambda_max = shape.lambda_max;
+  const std::size_t dim = std::size_t{1} << out.num_qubits;
 
   out.matrix = RealMatrix(dim, dim);
   for (std::size_t i = 0; i < out.original_dim; ++i)

@@ -29,6 +29,15 @@ struct PaddedLaplacian {
   PaddingScheme scheme = PaddingScheme::kIdentityHalfLambdaMax;
 };
 
+/// q and λ̃max of the padded Laplacian, read from |S_k| and the Gershgorin
+/// bound with pad_laplacian's checks (square, non-empty, symmetric) but
+/// without forming the 2^q×2^q matrix — all an analytic estimate needs.
+struct PaddingShape {
+  std::size_t num_qubits = 0;  ///< q = ⌈log2 |S_k|⌉ (min 1)
+  double lambda_max = 0.0;     ///< Gershgorin bound λ̃max, floored at 1
+};
+PaddingShape padding_shape(const RealMatrix& laplacian);
+
 /// Pads a combinatorial Laplacian to the nearest power of two (paper Eq. 7).
 /// A 1×1 input still becomes 2×2 (q = 1): QPE needs at least one system
 /// qubit.  λ̃max is computed with the Gershgorin circle theorem and floored

@@ -15,14 +15,18 @@ double ScaledHamiltonian::eigenvalue_to_phase(double lambda) const {
   return lambda * scale / kTwoPi;
 }
 
-ScaledHamiltonian rescale_laplacian(const PaddedLaplacian& padded,
-                                    double delta) {
+double rescale_factor(double lambda_max, double delta) {
   QTDA_REQUIRE(delta > 0.0 && delta <= kTwoPi,
                "delta must lie in (0, 2π], got " << delta);
+  return delta / lambda_max;
+}
+
+ScaledHamiltonian rescale_laplacian(const PaddedLaplacian& padded,
+                                    double delta) {
   ScaledHamiltonian out;
   out.delta = delta;
   out.lambda_max = padded.lambda_max;
-  out.scale = delta / padded.lambda_max;
+  out.scale = rescale_factor(padded.lambda_max, delta);
   out.num_qubits = padded.num_qubits;
   out.original_dim = padded.original_dim;
   out.matrix = scale(padded.matrix, out.scale);
@@ -35,12 +39,10 @@ double SparseScaledHamiltonian::eigenvalue_to_phase(double lambda) const {
 
 SparseScaledHamiltonian rescale_laplacian_sparse(
     const SparsePaddedLaplacian& padded, double delta) {
-  QTDA_REQUIRE(delta > 0.0 && delta <= kTwoPi,
-               "delta must lie in (0, 2π], got " << delta);
   SparseScaledHamiltonian out;
   out.delta = delta;
   out.lambda_max = padded.lambda_max;
-  out.scale = delta / padded.lambda_max;
+  out.scale = rescale_factor(padded.lambda_max, delta);
   out.num_qubits = padded.num_qubits;
   out.original_dim = padded.original_dim;
   out.matrix = padded.matrix.scaled(out.scale);

@@ -30,6 +30,9 @@ struct ScaledHamiltonian {
 /// even when Gershgorin is tight.
 double default_delta();
 
+/// The rescaling factor δ/λ̃max.  \p delta must lie in (0, 2π].
+double rescale_factor(double lambda_max, double delta);
+
 /// Rescales a padded Laplacian.  \p delta must lie in (0, 2π].
 ScaledHamiltonian rescale_laplacian(const PaddedLaplacian& padded,
                                     double delta = default_delta());

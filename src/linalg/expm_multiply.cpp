@@ -1,5 +1,6 @@
 #include "linalg/expm_multiply.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <list>
 #include <map>
@@ -202,40 +203,6 @@ SparseExpOperator::SparseExpOperator(std::shared_ptr<const SparseMatrix> a,
                                           theta_ * center_, options.tolerance);
 }
 
-void SparseExpOperator::apply_serial(
-    const std::complex<double>* x, std::complex<double>* y,
-    std::vector<std::complex<double>>& t_prev,
-    std::vector<std::complex<double>>& t_cur,
-    std::vector<std::complex<double>>& scratch, bool parallel_matvec) const {
-  const std::size_t n = a_->rows();
-  const std::vector<std::complex<double>>& coefficients = *coefficients_;
-  const std::complex<double> a0 = coefficients[0];
-  for (std::size_t i = 0; i < n; ++i) y[i] = a0 * x[i];
-  if (coefficients.size() == 1) return;
-
-  const double inv_h = 1.0 / half_width_;  // ≥ 2 terms ⇒ z ≠ 0 ⇒ h > 0
-  // T_0·x = x, T_1·x = B·x with B = (A − c·I)/h.
-  t_prev.assign(x, x + n);
-  a_->multiply(x, t_cur.data(), parallel_matvec);
-  for (std::size_t i = 0; i < n; ++i)
-    t_cur[i] = (t_cur[i] - center_ * x[i]) * inv_h;
-  const std::complex<double> a1 = coefficients[1];
-  for (std::size_t i = 0; i < n; ++i) y[i] += a1 * t_cur[i];
-
-  for (std::size_t k = 2; k < coefficients.size(); ++k) {
-    // T_{k} = 2B·T_{k−1} − T_{k−2}, overwriting the oldest buffer.
-    a_->multiply(t_cur.data(), scratch.data(), parallel_matvec);
-    const std::complex<double> ak = coefficients[k];
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::complex<double> next =
-          2.0 * (scratch[i] - center_ * t_cur[i]) * inv_h - t_prev[i];
-      t_prev[i] = next;
-      y[i] += ak * next;
-    }
-    t_prev.swap(t_cur);
-  }
-}
-
 void SparseExpOperator::ensure_f32() const {
   std::call_once(f32_once_, [this] {
     const std::vector<double>& vals = a_->values();
@@ -249,104 +216,152 @@ void SparseExpOperator::ensure_f32() const {
   });
 }
 
-void SparseExpOperator::apply_serial_f32(
-    const std::complex<float>* x, std::complex<float>* y,
-    std::vector<std::complex<float>>& t_prev,
-    std::vector<std::complex<float>>& t_cur,
-    std::vector<std::complex<float>>& scratch, bool parallel_matvec) const {
-  // The double recurrence of apply_serial, term for term, in float: float CSR
-  // values, float coefficients, float workspace — every matvec moves half the
-  // bytes.  B = (A − c·I)/h is formed with c, 1/h narrowed once up front.
-  const std::size_t n = a_->rows();
-  const std::size_t* offsets = a_->row_offsets().data();
-  const std::size_t* cols = a_->col_indices().data();
-  const float* vals = values_f32_.data();
-  const SimdLevel level = active_simd_level();
-  const auto matvec = [&](const std::complex<float>* in,
-                          std::complex<float>* out) {
-    const auto rows_body = [&](std::size_t lo, std::size_t hi) {
-      simd::csr_matvec_rows(level, offsets, cols, vals, in, out, lo, hi);
-    };
-    if (parallel_matvec) {
-      parallel_for_chunked(0, n, rows_body, /*min_parallel_size=*/4096);
-    } else {
-      rows_body(0, n);
-    }
-  };
+namespace {
 
-  const std::complex<float> a0 = coefficients_f32_[0];
-  for (std::size_t i = 0; i < n; ++i) y[i] = a0 * x[i];
-  if (coefficients_f32_.size() == 1) return;
+/// Right-hand sides per blocked recurrence.  Each CSR entry is loaded once
+/// per block and applied to all of them: eight complex doubles fill two
+/// AVX-512 (four AVX2) registers per row.
+constexpr std::size_t kBlockWidth = 8;
 
-  const float center = static_cast<float>(center_);
-  const float inv_h = 1.0f / static_cast<float>(half_width_);
-  t_prev.assign(x, x + n);
-  matvec(x, t_cur.data());
-  for (std::size_t i = 0; i < n; ++i)
-    t_cur[i] = (t_cur[i] - center * x[i]) * inv_h;
-  const std::complex<float> a1 = coefficients_f32_[1];
-  for (std::size_t i = 0; i < n; ++i) y[i] += a1 * t_cur[i];
+/// Rows above which a lone block splits its CSR products across the pool.
+constexpr std::size_t kRowParallelMin = 4096;
 
-  for (std::size_t k = 2; k < coefficients_f32_.size(); ++k) {
-    matvec(t_cur.data(), scratch.data());
-    const std::complex<float> ak = coefficients_f32_[k];
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::complex<float> next =
-          2.0f * (scratch[i] - center * t_cur[i]) * inv_h - t_prev[i];
-      t_prev[i] = next;
-      y[i] += ak * next;
-    }
-    t_prev.swap(t_cur);
-  }
+/// The recurrence's inputs at one precision: B = (A − c·I)/h in CSR form
+/// and the truncated coefficients a_k.
+template <typename R>
+struct ChebyshevRecurrence {
+  const std::size_t* offsets;
+  const std::size_t* cols;
+  const R* vals;
+  std::size_t rows;
+  const std::complex<R>* coefficients;
+  std::size_t terms;
+  R center;
+  R inv_h;  ///< 1/h (0 when only a_0 survives: then h may be 0)
+};
+
+/// The recurrence over \p vals (A's values at precision R, in CSR order).
+/// c and 1/h are formed at precision R from the double c and h.
+template <typename R>
+ChebyshevRecurrence<R> make_recurrence(
+    const SparseMatrix& a, const R* vals,
+    const std::vector<std::complex<R>>& coefficients, double center,
+    double half_width) {
+  return {a.row_offsets().data(),
+          a.col_indices().data(),
+          vals,
+          a.rows(),
+          coefficients.data(),
+          coefficients.size(),
+          static_cast<R>(center),
+          coefficients.size() > 1 ? R{1} / static_cast<R>(half_width) : R{0}};
 }
 
-void SparseExpOperator::apply_batch_f32(const std::complex<float>* x,
-                                        std::complex<float>* y,
-                                        std::size_t count) const {
-  ensure_f32();
-  const std::size_t d = a_->rows();
-  if (count == 1) {
-    std::vector<std::complex<float>> t_prev(d), t_cur(d), scratch(d);
-    apply_serial_f32(x, y, t_prev, t_cur, scratch, /*parallel_matvec=*/true);
+/// y = Σ_k a_k·T_k(B)·x for one interleaved [rows × width] block.  x is
+/// consumed: it becomes the T_{k−2} buffer of the three-term recurrence.
+/// Every element gets the arithmetic of the scalar single-vector loop at
+/// every SIMD level (simd_kernels.hpp).
+template <typename R>
+void chebyshev_block(const ChebyshevRecurrence<R>& rec, std::size_t width,
+                     std::complex<R>* x, std::complex<R>* t,
+                     std::complex<R>* s, std::complex<R>* y,
+                     bool parallel_rows) {
+  const std::size_t n = rec.rows * width;
+  if (rec.terms == 1) {
+    for (std::size_t i = 0; i < n; ++i) y[i] = rec.coefficients[0] * x[i];
     return;
   }
-  parallel_for_chunked(
-      0, count,
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<std::complex<float>> t_prev(d), t_cur(d), scratch(d);
-        for (std::size_t b = lo; b < hi; ++b)
-          apply_serial_f32(x + b * d, y + b * d, t_prev, t_cur, scratch,
-                           /*parallel_matvec=*/false);
-      },
-      /*min_parallel_size=*/2);
+  const SimdLevel level = active_simd_level();
+  const auto spmm = [&](const std::complex<R>* in, std::complex<R>* out) {
+    const auto rows_body = [&](std::size_t lo, std::size_t hi) {
+      simd::csr_spmm_rows(level, rec.offsets, rec.cols, rec.vals, in, out,
+                          width, lo, hi);
+    };
+    if (parallel_rows) {
+      parallel_for_chunked(0, rec.rows, rows_body, kRowParallelMin);
+    } else {
+      rows_body(0, rec.rows);
+    }
+  };
+  // T_0·x = x, T_1·x = B·x.
+  spmm(x, t);
+  simd::chebyshev_first_step(level, n, x, t, y, rec.center, rec.inv_h,
+                             rec.coefficients[0], rec.coefficients[1]);
+  std::complex<R>* t_prev = x;
+  std::complex<R>* t_cur = t;
+  for (std::size_t k = 2; k < rec.terms; ++k) {
+    // T_k = 2B·T_{k−1} − T_{k−2}, overwriting the oldest buffer.
+    spmm(t_cur, s);
+    simd::chebyshev_step(level, n, s, t_cur, t_prev, y, rec.center,
+                         rec.inv_h, rec.coefficients[k]);
+    std::swap(t_prev, t_cur);
+  }
 }
+
+/// Applies the recurrence to \p count consecutive length-rows vectors:
+/// blocks of kBlockWidth are transposed into [rows × width], run, and
+/// transposed back.  Chunks of blocks go on the shared pool, each with one
+/// workspace; a lone block splits its CSR products across rows instead.
+template <typename R>
+void apply_blocked(const ChebyshevRecurrence<R>& rec,
+                   const std::complex<R>* x, std::complex<R>* y,
+                   std::size_t count) {
+  const std::size_t d = rec.rows;
+  const std::size_t blocks = (count + kBlockWidth - 1) / kBlockWidth;
+  const std::size_t max_width = std::min(count, kBlockWidth);
+  const bool parallel_rows = blocks == 1;
+  const auto run_blocks = [&](std::size_t lo, std::size_t hi) {
+    std::vector<std::complex<R>> work(4 * d * max_width);
+    std::complex<R>* xb = work.data();
+    std::complex<R>* tb = xb + d * max_width;
+    std::complex<R>* sb = tb + d * max_width;
+    std::complex<R>* yb = sb + d * max_width;
+    for (std::size_t b = lo; b < hi; ++b) {
+      const std::size_t first = b * kBlockWidth;
+      const std::size_t width = std::min(kBlockWidth, count - first);
+      for (std::size_t j = 0; j < width; ++j) {
+        const std::complex<R>* in = x + (first + j) * d;
+        for (std::size_t r = 0; r < d; ++r) xb[r * width + j] = in[r];
+      }
+      chebyshev_block(rec, width, xb, tb, sb, yb, parallel_rows);
+      for (std::size_t j = 0; j < width; ++j) {
+        std::complex<R>* out = y + (first + j) * d;
+        for (std::size_t r = 0; r < d; ++r) out[r] = yb[r * width + j];
+      }
+    }
+  };
+  if (parallel_rows) {
+    run_blocks(0, blocks);
+  } else {
+    parallel_for_chunked(0, blocks, run_blocks, /*min_parallel_size=*/2);
+  }
+}
+
+}  // namespace
 
 void SparseExpOperator::apply(const std::complex<double>* x,
                               std::complex<double>* y) const {
-  std::vector<std::complex<double>> t_prev(a_->rows()), t_cur(a_->rows()),
-      scratch(a_->rows());
-  apply_serial(x, y, t_prev, t_cur, scratch, /*parallel_matvec=*/true);
+  apply_batch(x, y, 1);
 }
 
 void SparseExpOperator::apply_batch(const std::complex<double>* x,
                                     std::complex<double>* y,
                                     std::size_t count) const {
-  if (count == 1) {
-    apply(x, y);  // single block: parallelize inside the matvec instead
-    return;
-  }
-  const std::size_t d = a_->rows();
-  // One Chebyshev recurrence per block; workers reuse one workspace per
-  // chunk.  Matvecs stay serial — nesting on the shared pool would deadlock.
-  parallel_for_chunked(
-      0, count,
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<std::complex<double>> t_prev(d), t_cur(d), scratch(d);
-        for (std::size_t b = lo; b < hi; ++b)
-          apply_serial(x + b * d, y + b * d, t_prev, t_cur, scratch,
-                       /*parallel_matvec=*/false);
-      },
-      /*min_parallel_size=*/2);
+  apply_blocked(make_recurrence(*a_, a_->values().data(), *coefficients_,
+                                center_, half_width_),
+                x, y, count);
+}
+
+void SparseExpOperator::apply_batch_f32(const std::complex<float>* x,
+                                        std::complex<float>* y,
+                                        std::size_t count) const {
+  // The double recurrence term for term in float: float CSR values, float
+  // coefficients, float workspace — every CSR pass moves half the bytes.
+  // B = (A − c·I)/h is formed with c, 1/h narrowed once up front.
+  ensure_f32();
+  apply_blocked(make_recurrence(*a_, values_f32_.data(), coefficients_f32_,
+                                center_, half_width_),
+                x, y, count);
 }
 
 ComplexVector expm_multiply(const SparseMatrix& a, double theta,

@@ -13,9 +13,13 @@
 /// O(|θh|^{1/3}) sparse matvecs give full double precision — unlike a
 /// truncated Taylor series, whose huge alternating terms cancel
 /// catastrophically at the θ ≈ 2^t·λmax values QPE needs.  The three-term
-/// Chebyshev recurrence T_{k+1} = 2B·T_k − T_{k−1} costs one matvec per
-/// term and three vectors of workspace; nothing quadratic in the dimension
-/// is ever allocated.
+/// Chebyshev recurrence T_{k+1} = 2B·T_k − T_{k−1} costs one CSR pass per
+/// term and four vectors of workspace per right-hand side; nothing
+/// quadratic in the dimension is ever allocated.  Batches run it on
+/// interleaved blocks of eight right-hand sides, so each CSR pass serves
+/// the whole block (Al-Mohy & Higham treat exp(tA)·B with a block B as the
+/// native case: "Computing the action of the matrix exponential", SIAM J.
+/// Sci. Comput. 33(2), 2011).
 #pragma once
 
 #include <complex>
@@ -66,8 +70,9 @@ ComplexVector expm_multiply(const SparseMatrix& a, double theta,
 
 /// The exp(i·theta·A) action packaged as a reusable LinearOperator: the
 /// Chebyshev coefficients are computed once at construction, then every
-/// apply() costs num_terms() sparse matvecs.  This is the matrix-free QPE
-/// oracle U^p = exp(i·p·H) (construct with theta = p).
+/// application costs num_terms() CSR passes per block of right-hand sides.
+/// This is the matrix-free QPE oracle U^p = exp(i·p·H) (construct with
+/// theta = p).
 class SparseExpOperator final : public LinearOperator {
  public:
   /// \p a must be symmetric with spectrum inside [lambda_min, lambda_max].
@@ -84,22 +89,28 @@ class SparseExpOperator final : public LinearOperator {
   std::size_t dimension() const override { return a_->rows(); }
   std::string name() const override { return "chebyshev-exp"; }
 
+  /// The batch path at count 1 (its CSR passes split across rows above
+  /// 4096 rows).
   void apply(const std::complex<double>* x,
              std::complex<double>* y) const override;
 
-  /// Parallelizes across blocks (one Chebyshev recurrence each) when the
-  /// batch is large, across matvec rows when it is a single big block.
+  /// Runs one Chebyshev recurrence per block of eight vectors, transposed
+  /// into an interleaved [d × 8] layout so every CSR entry is loaded once
+  /// per block; a trailing partial block runs at its own width.  Chunks of
+  /// blocks run on the shared pool; a batch of one block splits its CSR
+  /// passes across rows instead.  Each vector's result is bit-identical to
+  /// applying it alone, at every SIMD level.
   void apply_batch(const std::complex<double>* x, std::complex<double>* y,
                    std::size_t count) const override;
 
-  /// Native complex64 rail: the whole recurrence — CSR values, Chebyshev
-  /// coefficients, workspace — runs in float, halving the memory traffic of
-  /// every matvec instead of widening around the default rail.  The float
+  /// Native complex64 rail: the same blocked recurrence with float CSR
+  /// values, coefficients and workspace, halving the memory traffic of
+  /// every CSR pass instead of widening around the default rail.  The float
   /// mirrors of the values and coefficients are narrowed once, lazily.
   void apply_batch_f32(const std::complex<float>* x, std::complex<float>* y,
                        std::size_t count) const override;
 
-  /// Number of retained expansion terms (matvecs per application).
+  /// Number of retained expansion terms (CSR passes per application).
   std::size_t num_terms() const { return coefficients_->size(); }
 
   double theta() const { return theta_; }
@@ -113,16 +124,6 @@ class SparseExpOperator final : public LinearOperator {
   }
 
  private:
-  void apply_serial(const std::complex<double>* x, std::complex<double>* y,
-                    std::vector<std::complex<double>>& t_prev,
-                    std::vector<std::complex<double>>& t_cur,
-                    std::vector<std::complex<double>>& scratch,
-                    bool parallel_matvec) const;
-  void apply_serial_f32(const std::complex<float>* x, std::complex<float>* y,
-                        std::vector<std::complex<float>>& t_prev,
-                        std::vector<std::complex<float>>& t_cur,
-                        std::vector<std::complex<float>>& scratch,
-                        bool parallel_matvec) const;
   /// Builds values_f32_/coefficients_f32_ on first float application.
   void ensure_f32() const;
 

@@ -5,9 +5,10 @@
 /// ever materializing the 2^q×2^q unitary.  This interface is the contract
 /// between such operators and the simulator backends: an operator knows its
 /// dimension and how to map an input block of amplitudes to an output block.
-/// Batched application exists so an implementation can amortize shared setup
-/// (e.g. Chebyshev coefficients) and parallelize across blocks itself,
-/// avoiding nested use of the shared thread pool.
+/// Batched application exists so an implementation can share work across
+/// the blocks — the Chebyshev oracle loads each CSR entry once per group of
+/// eight blocks — and parallelize across them itself, avoiding nested use
+/// of the shared thread pool.
 #pragma once
 
 #include <complex>

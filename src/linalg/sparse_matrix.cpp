@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
-#include "quantum/simd_kernels.hpp"
 
 namespace qtda {
 
@@ -74,27 +72,13 @@ RealVector SparseMatrix::multiply_transposed(const RealVector& x) const {
 ComplexVector SparseMatrix::multiply(const ComplexVector& x) const {
   QTDA_REQUIRE(x.size() == cols_, "sparse matvec shape mismatch");
   ComplexVector y(rows_);
-  multiply(x.data(), y.data());
-  return y;
-}
-
-void SparseMatrix::multiply(const std::complex<double>* x,
-                            std::complex<double>* y, bool parallel) const {
-  const std::size_t* offsets = row_offsets_.data();
-  const std::size_t* cols = col_indices_.data();
-  const double* vals = values_.data();
-  // Single shared hot kernel for every engine: at QTDA_SIMD=0 the scalar
-  // branch is the historical row-dot loop; the vector path lane-splits each
-  // row dot (the one reassociating kernel — see simd_kernels.hpp).
-  const SimdLevel level = active_simd_level();
-  const auto rows_body = [&](std::size_t lo, std::size_t hi) {
-    simd::csr_matvec_rows(level, offsets, cols, vals, x, y, lo, hi);
-  };
-  if (parallel) {
-    parallel_for_chunked(0, rows_, rows_body, /*min_parallel_size=*/4096);
-  } else {
-    rows_body(0, rows_);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    std::complex<double> acc{};
+    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
+      acc += values_[k] * x[col_indices_[k]];
+    y[r] = acc;
   }
+  return y;
 }
 
 RealMatrix SparseMatrix::gram() const {

@@ -3,8 +3,8 @@
 ///
 /// Boundary operators ∂_k have exactly k+1 nonzeros per column, so the
 /// whole Δ_k = ∂†∂ + ∂∂† chain can stay sparse end to end: symmetric CSR
-/// products assemble the Laplacian without densifying, and the complex
-/// matvec feeds the matrix-free exp(iθΔ̃) oracle of the sparse QPE path.
+/// products assemble the Laplacian without densifying, and the CSR arrays
+/// feed the matrix-free exp(iθΔ̃) oracle of the sparse QPE path.
 /// Dense copies remain available for the small-case eigensolver.
 #pragma once
 
@@ -42,15 +42,10 @@ class SparseMatrix {
   /// y = Aᵀ·x.
   RealVector multiply_transposed(const RealVector& x) const;
 
-  /// y = A·x over complex vectors (A is real): the hot kernel of the
-  /// matrix-free exponential action.  Parallelized across rows for large
-  /// matrices.
+  /// y = A·x over complex vectors (A is real).  The matrix-free
+  /// exponential action runs its own blocked CSR kernel
+  /// (simd::csr_spmm_rows) on the arrays below.
   ComplexVector multiply(const ComplexVector& x) const;
-  /// Raw-pointer core of the complex matvec; \p x and \p y are length
-  /// cols()/rows() buffers that must not alias.  \p parallel enables the
-  /// shared-pool row split (callers already inside a pool task pass false).
-  void multiply(const std::complex<double>* x, std::complex<double>* y,
-                bool parallel = true) const;
 
   /// Dense Aᵀ·A (size cols×cols).
   RealMatrix gram() const;

@@ -1,25 +1,24 @@
 /// \file simd_kernels.hpp
-/// \brief Runtime-dispatched SIMD kernels for the four hot simulation loops.
+/// \brief Runtime-dispatched SIMD kernels for the hot simulation loops.
 ///
-/// The contiguous pair sweep (single-qubit gates), the diagonal table-lookup
-/// pass (fused diagonals), the fused dense-block apply (block/two-qubit
-/// matvec) and the CSR matvec (the Chebyshev oracle) dominate every profile.
-/// Each gets an explicit AVX2 and (where it pays) AVX-512 path in
-/// simd_kernels.cpp, selected at runtime through common/cpu_features.hpp —
-/// one binary, widest safe path.
+/// The contiguous pair and four-point sweeps (single- and two-qubit gates),
+/// the diagonal table-lookup pass (fused diagonals), the fused dense-block
+/// apply (block matvec) and the two halves of the blocked Chebyshev oracle
+/// (the CSR product over a block of right-hand sides and the recurrence's
+/// elementwise step) dominate every profile.  Each gets explicit AVX2 and
+/// (where it pays) AVX-512 bodies in simd_kernels.cpp, selected at runtime
+/// through common/cpu_features.hpp — one binary, widest safe path.
 ///
 /// **Bit-identity contract.**  The scalar branches below are the historical
-/// loops, source-identical to the pre-vectorization engines, compiled in the
-/// caller's TU with the default (baseline x86-64, no FMA) flags — so
-/// `QTDA_SIMD=0` reproduces the old arithmetic bit for bit.  The vector
-/// paths of the pair sweep, diagonal pass and block matvec are *also*
-/// bitwise identical to the scalar ones: they keep one accumulator per
-/// output element, evaluate the same products in the same sequence (complex
-/// multiplies use separate mul/add — never FMA — matching the libstdc++
-/// textbook formula up to commuting one addition), and simd_kernels.cpp is
-/// compiled with -ffp-contract=off.  Only the CSR matvec reassociates under
-/// vectorization (lane-split dot products); both state-vector engines share
-/// that one kernel, so their mutual bit-equality survives at every level.
+/// loops, compiled in the caller's TU with the default (baseline x86-64, no
+/// FMA) flags — so `QTDA_SIMD=0` reproduces the old arithmetic bit for bit.
+/// Every vector path is *also* bitwise identical to its scalar branch: it
+/// keeps one accumulator per output element, evaluates the same products in
+/// the same sequence (complex multiplies use separate mul/add — never FMA —
+/// matching the libstdc++ textbook formula up to commuting one addition),
+/// and simd_kernels.cpp is compiled with -ffp-contract=off.  Vectorization
+/// only ever runs across independent output elements (amplitude pairs,
+/// block rows, right-hand sides), never across the terms of one sum.
 #pragma once
 
 #include <complex>
@@ -63,14 +62,34 @@ void block_matvec_vec(SimdLevel level, const std::complex<double>* u,
 void block_matvec_vec(SimdLevel level, const std::complex<float>* u,
                       const std::complex<float>* in, std::complex<float>* out,
                       std::size_t block);
-void csr_matvec_vec(SimdLevel level, const std::size_t* offsets,
-                    const std::size_t* cols, const double* vals,
-                    const std::complex<double>* x, std::complex<double>* y,
-                    std::size_t row_lo, std::size_t row_hi);
-void csr_matvec_vec(SimdLevel level, const std::size_t* offsets,
-                    const std::size_t* cols, const float* vals,
-                    const std::complex<float>* x, std::complex<float>* y,
-                    std::size_t row_lo, std::size_t row_hi);
+void csr_spmm_vec(SimdLevel level, const std::size_t* offsets,
+                  const std::size_t* cols, const double* vals,
+                  const std::complex<double>* x, std::complex<double>* y,
+                  std::size_t width, std::size_t row_lo, std::size_t row_hi);
+void csr_spmm_vec(SimdLevel level, const std::size_t* offsets,
+                  const std::size_t* cols, const float* vals,
+                  const std::complex<float>* x, std::complex<float>* y,
+                  std::size_t width, std::size_t row_lo, std::size_t row_hi);
+void chebyshev_first_step_vec(SimdLevel level, std::size_t n,
+                              const std::complex<double>* x,
+                              std::complex<double>* t, std::complex<double>* y,
+                              double center, double inv_h,
+                              std::complex<double> a0, std::complex<double> a1);
+void chebyshev_first_step_vec(SimdLevel level, std::size_t n,
+                              const std::complex<float>* x,
+                              std::complex<float>* t, std::complex<float>* y,
+                              float center, float inv_h, std::complex<float> a0,
+                              std::complex<float> a1);
+void chebyshev_step_vec(SimdLevel level, std::size_t n,
+                        const std::complex<double>* s,
+                        const std::complex<double>* t_cur,
+                        std::complex<double>* t_prev, std::complex<double>* y,
+                        double center, double inv_h, std::complex<double> ak);
+void chebyshev_step_vec(SimdLevel level, std::size_t n,
+                        const std::complex<float>* s,
+                        const std::complex<float>* t_cur,
+                        std::complex<float>* t_prev, std::complex<float>* y,
+                        float center, float inv_h, std::complex<float> ak);
 }  // namespace detail
 
 /// In-place uncontrolled single-qubit update of the contiguous pair runs
@@ -164,29 +183,70 @@ inline void block_matvec(SimdLevel level, const std::complex<R>* u,
   detail::block_matvec_vec(level, u, in, out, block);
 }
 
-/// CSR matvec over the row range [row_lo, row_hi) with real values:
-/// y[r] = Σ_k vals[k]·x[cols[k]].  The double vector path splits each row
-/// dot across lanes (reassociating the sum) — the one kernel whose
-/// vectorized results differ in the last ulp from the scalar path; both
-/// state-vector engines route through this same function, so they still
-/// agree with each other exactly.  The float path stays scalar at every
-/// level: the gathered 8-lane variant measured slower than the plain dot
-/// (see simd_kernels.cpp).
+/// CSR product over the row range [row_lo, row_hi) with a block of \p width
+/// right-hand sides stored interleaved, row-major [rows × width]:
+/// y[r·width + j] = Σ_k vals[k]·x[cols[k]·width + j].  Each CSR entry is
+/// loaded once per row and applied to every column; each column sums its
+/// row's nonzeros from zero in stored order — the scalar row dot, so every
+/// level gives every column exactly the single-vector result.
 template <typename R>
-inline void csr_matvec_rows(SimdLevel level, const std::size_t* offsets,
-                            const std::size_t* cols, const R* vals,
-                            const std::complex<R>* x, std::complex<R>* y,
-                            std::size_t row_lo, std::size_t row_hi) {
+inline void csr_spmm_rows(SimdLevel level, const std::size_t* offsets,
+                          const std::size_t* cols, const R* vals,
+                          const std::complex<R>* x, std::complex<R>* y,
+                          std::size_t width, std::size_t row_lo,
+                          std::size_t row_hi) {
   if (level == SimdLevel::kScalar) {
     for (std::size_t r = row_lo; r < row_hi; ++r) {
-      std::complex<R> acc{};
-      for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
-        acc += vals[k] * x[cols[k]];
-      y[r] = acc;
+      for (std::size_t j = 0; j < width; ++j) {
+        std::complex<R> acc{};
+        for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
+          acc += vals[k] * x[cols[k] * width + j];
+        y[r * width + j] = acc;
+      }
     }
     return;
   }
-  detail::csr_matvec_vec(level, offsets, cols, vals, x, y, row_lo, row_hi);
+  detail::csr_spmm_vec(level, offsets, cols, vals, x, y, width, row_lo,
+                       row_hi);
+}
+
+/// First two terms of the Chebyshev expansion over n elements: on entry
+/// t = A·x; on exit t = T_1·x = (t − c·x)·inv_h and y = a0·x + a1·t.
+template <typename R>
+inline void chebyshev_first_step(SimdLevel level, std::size_t n,
+                                 const std::complex<R>* x, std::complex<R>* t,
+                                 std::complex<R>* y, R center, R inv_h,
+                                 std::complex<R> a0, std::complex<R> a1) {
+  if (level == SimdLevel::kScalar) {
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] = a0 * x[i];
+      t[i] = (t[i] - center * x[i]) * inv_h;
+      y[i] += a1 * t[i];
+    }
+    return;
+  }
+  detail::chebyshev_first_step_vec(level, n, x, t, y, center, inv_h, a0, a1);
+}
+
+/// One Chebyshev term over n elements, with s = A·T_{k−1}·x:
+/// next = 2·(s − c·t_cur)·inv_h − t_prev (= T_k·x) overwrites t_prev and
+/// y += ak·next.
+template <typename R>
+inline void chebyshev_step(SimdLevel level, std::size_t n,
+                           const std::complex<R>* s,
+                           const std::complex<R>* t_cur,
+                           std::complex<R>* t_prev, std::complex<R>* y,
+                           R center, R inv_h, std::complex<R> ak) {
+  if (level == SimdLevel::kScalar) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::complex<R> next =
+          R{2} * (s[i] - center * t_cur[i]) * inv_h - t_prev[i];
+      t_prev[i] = next;
+      y[i] += ak * next;
+    }
+    return;
+  }
+  detail::chebyshev_step_vec(level, n, s, t_cur, t_prev, y, center, inv_h, ak);
 }
 
 }  // namespace simd

@@ -29,10 +29,9 @@ constexpr std::uint64_t kMinSimdRun = 4;
 
 /// Reusable per-thread buffers for the non-plan entry points: apply_unitary
 /// and apply_operator used to allocate their gather/scatter scratch on every
-/// call (and every OpenMP worker allocated its own per gate); these persist
-/// for the thread's lifetime.  Plan execution uses the plan's own arena, not
-/// these.  Templated over the amplitude type: each engine precision owns its
-/// buffers.
+/// call; these persist for the thread's lifetime.  Plan execution uses the
+/// plan's own arena, not these.  Templated over the amplitude type: each
+/// engine precision owns its buffers.
 template <typename C>
 std::vector<C>& thread_block_scratch() {
   thread_local std::vector<C> buffer;
@@ -198,18 +197,8 @@ void BasicStatevector<Real>::single_qubit_kernel(C u00, C u01, C u10, C u11,
     amp[i1] = u10 * a0 + u11 * a1;
   };
 
-  if (dim >= kParallelThreshold) {
-#ifdef QTDA_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-      const auto idx = static_cast<std::uint64_t>(i);
-      if ((idx & mask) == 0) body(idx);
-    }
-  } else {
-    for (std::uint64_t block = 0; block < dim; block += 2 * mask) {
-      for (std::uint64_t i = block; i < block + mask; ++i) body(i);
-    }
+  for (std::uint64_t block = 0; block < dim; block += 2 * mask) {
+    for (std::uint64_t i = block; i < block + mask; ++i) body(i);
   }
 }
 
@@ -262,35 +251,16 @@ void BasicStatevector<Real>::block_kernel(
     return;
   }
 
-  const auto body = [&](std::uint64_t base, std::vector<C>& buf) {
-    for (std::uint64_t l = 0; l < block; ++l) buf[l] = amp[base | offset[l]];
+  scratch.resize(block);
+  for (std::uint64_t i = 0; i < dim; ++i) {
+    if ((i & tmask) != 0 || (i & cmask) != cmask) continue;
+    for (std::uint64_t l = 0; l < block; ++l) scratch[l] = amp[i | offset[l]];
     for (std::uint64_t r = 0; r < block; ++r) {
       C acc{};
       const C* urow = u + r * block;
-      for (std::uint64_t c = 0; c < block; ++c) acc += urow[c] * buf[c];
-      amp[base | offset[r]] = acc;
+      for (std::uint64_t c = 0; c < block; ++c) acc += urow[c] * scratch[c];
+      amp[i | offset[r]] = acc;
     }
-  };
-
-  if (dim >= kParallelThreshold && block <= 64) {
-#ifdef QTDA_HAVE_OPENMP
-#pragma omp parallel
-    {
-      // Per-OpenMP-thread reusable buffer (persists across gates).
-      std::vector<C>& local = thread_block_scratch<C>();
-      local.resize(block);
-#pragma omp for schedule(static)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-        const auto idx = static_cast<std::uint64_t>(i);
-        if ((idx & tmask) == 0 && (idx & cmask) == cmask) body(idx, local);
-      }
-    }
-    return;
-#endif
-  }
-  scratch.resize(block);
-  for (std::uint64_t i = 0; i < dim; ++i) {
-    if ((i & tmask) == 0 && (i & cmask) == cmask) body(i, scratch);
   }
 }
 
@@ -432,20 +402,6 @@ void BasicStatevector<Real>::two_qubit_kernel(const C* u,
   // Nested strided loops keep the innermost run contiguous (length
   // m_small), which is what lets the compiler pipeline the complex
   // arithmetic — a flat compressed-index loop ran ~2× slower.
-  if (dim >= kParallelThreshold) {
-#ifdef QTDA_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-    for (std::int64_t s = 0; s < static_cast<std::int64_t>(dim >> 2); ++s) {
-      // Expand the compressed counter: insert zeros at the two positions.
-      std::uint64_t base = ((static_cast<std::uint64_t>(s) & ~(m_small - 1))
-                            << 1) |
-                           (static_cast<std::uint64_t>(s) & (m_small - 1));
-      base = ((base & ~(m_big - 1)) << 1) | (base & (m_big - 1));
-      body(base);
-    }
-    return;
-#endif
-  }
   for (std::uint64_t a = 0; a < dim; a += m_big << 1) {
     for (std::uint64_t b = a; b < a + m_big; b += m_small << 1) {
       for (std::uint64_t i = b; i < b + m_small; ++i) body(i);
@@ -461,20 +417,6 @@ void BasicStatevector<Real>::diagonal_kernel(const C* table,
   const std::uint64_t dim = dimension();
   C* amp = amplitudes_.data();
   const SimdLevel level = active_simd_level();
-  if (dim >= kParallelThreshold) {
-#ifdef QTDA_HAVE_OPENMP
-    constexpr std::int64_t kChunks = 64;
-    const std::uint64_t span = (dim + kChunks - 1) / kChunks;
-#pragma omp parallel for schedule(static)
-    for (std::int64_t chunk = 0; chunk < kChunks; ++chunk) {
-      const std::uint64_t lo = static_cast<std::uint64_t>(chunk) * span;
-      if (lo >= dim) continue;
-      const std::uint64_t hi = std::min(dim, lo + span);
-      simd::diagonal_pass(level, amp + lo, lo, hi - lo, extract, table);
-    }
-    return;
-#endif
-  }
   simd::diagonal_pass(level, amp, 0, dim, extract, table);
 }
 

@@ -6,10 +6,11 @@
 /// kernels and the precision template landed, with the engines running their
 /// plain scalar loops.  Under `QTDA_SIMD=0` every engine must still produce
 /// exactly these bytes — the refactor's core promise, asserted by the CI
-/// scalar leg.  With SIMD active the suite skips: the vector kernels are
-/// bit-identical for the sweeps by construction (same products, same
-/// rounding), but the CSR matvec deliberately lane-splits its dot products,
-/// so whole-workload fingerprints are only pinned for the scalar paths.
+/// scalar leg.  Every vector kernel is bit-identical to its scalar branch by
+/// construction (same products, same rounding, the Chebyshev oracle's CSR
+/// sums included), so at any SIMD level every scenario reproduces these
+/// bytes too — except the two fused plans: the fusion cost model is
+/// calibrated per dispatch level, so vector dispatch may fuse differently.
 
 #include <gtest/gtest.h>
 
@@ -59,6 +60,18 @@ TEST(BitIdentity, ScalarDoubleResultsMatchHistoricalFingerprints) {
     EXPECT_EQ(fp.hash, it->second)
         << "scenario \"" << fp.name
         << "\" no longer reproduces the historical bytes";
+  }
+}
+
+// Fused plan shapes depend on the dispatch level's cost calibration; every
+// other scenario's arithmetic must not depend on the level at all.
+TEST(BitIdentity, UnfusedScenariosMatchFingerprintsAtEverySimdLevel) {
+  for (const BitIdentityFingerprint& fp : bit_identity_fingerprints()) {
+    if (fp.name == "dense_plan_fused" || fp.name == "sharded_plan_fused")
+      continue;
+    EXPECT_EQ(fp.hash, golden_fingerprints().at(fp.name))
+        << "scenario \"" << fp.name << "\" at SIMD level "
+        << simd_level_name(active_simd_level());
   }
 }
 

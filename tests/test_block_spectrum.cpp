@@ -106,5 +106,61 @@ TEST(BlockSpectrum, MatchesExplicitPaddingAndEveryExactP0Agrees) {
   EXPECT_GE(cases, 60u);
 }
 
+/// Path-graph (vertex) Laplacian on n vertices: connected, so β_0 = 1.
+RealMatrix path_graph_laplacian(std::size_t n) {
+  RealMatrix laplacian(n, n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    laplacian(i, i) += 1.0;
+    laplacian(i + 1, i + 1) += 1.0;
+    laplacian(i, i + 1) = -1.0;
+    laplacian(i + 1, i) = -1.0;
+  }
+  return laplacian;
+}
+
+// The analytic backend and the error analysis read q, λ̃max and the scale
+// from |S_k| and the Gershgorin bound instead of padding: one row past a
+// power of two doubles the padded dimension, and the results must still be
+// those of the explicitly padded, rescaled matrix.
+TEST(BlockSpectrum, AnalyticPathsJustAboveAPowerOfTwoNeedNoPaddedMatrix) {
+  const RealMatrix laplacian = path_graph_laplacian(129);
+  for (PaddingScheme scheme :
+       {PaddingScheme::kIdentityHalfLambdaMax, PaddingScheme::kZero}) {
+    const ScaledHamiltonian scaled =
+        rescale_laplacian(pad_laplacian(laplacian, scheme));
+    ASSERT_EQ(scaled.num_qubits, 8u);
+    const RealVector explicit_spectrum = symmetric_eigenvalues(scaled.matrix);
+    const std::size_t precision = 3;
+    const double reference =
+        analytic_zero_probability(explicit_spectrum, precision);
+
+    EstimatorOptions options;
+    options.precision_qubits = precision;
+    options.padding = scheme;
+    options.shots = 64;
+    options.backend = EstimatorBackend::kAnalytic;
+    const BettiEstimate estimate =
+        estimate_betti_from_laplacian(laplacian, options);
+    EXPECT_EQ(estimate.system_qubits, scaled.num_qubits);
+    EXPECT_EQ(estimate.lambda_max, scaled.lambda_max);
+    EXPECT_NEAR(estimate.exact_zero_probability, reference, 1e-12);
+
+    const EstimatorErrorAnalysis analysis =
+        analyze_estimator_error(laplacian, precision, 0.0, scheme);
+    EXPECT_EQ(analysis.system_qubits, scaled.num_qubits);
+    EXPECT_NEAR(analysis.exact_zero_probability, reference, 1e-12);
+    // The zero scheme adds 2^q − |S_k| = 127 ghost kernel vectors.
+    EXPECT_EQ(analysis.kernel_dimension,
+              scheme == PaddingScheme::kZero ? 128u : 1u);
+  }
+  // pad_laplacian's symmetry check still guards both entry points.
+  RealMatrix asymmetric = path_graph_laplacian(5);
+  asymmetric(0, 1) = -0.5;
+  EstimatorOptions options;
+  options.backend = EstimatorBackend::kAnalytic;
+  EXPECT_THROW(estimate_betti_from_laplacian(asymmetric, options), Error);
+  EXPECT_THROW(analyze_estimator_error(asymmetric, 2), Error);
+}
+
 }  // namespace
 }  // namespace qtda
