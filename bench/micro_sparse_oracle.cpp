@@ -15,10 +15,12 @@
 ///            it keeps scaling (q = 12 here) after the dense oracle has
 ///            left the building.
 ///
-/// BM_SparseOracleBatch times the oracle alone on gathered batches of
-/// right-hand sides, as the engines call it: a partial block (4), a few
-/// blocks (64) and the ~380-vector batches of the cold-features workload
-/// (512), in vectors per second of wall time.
+/// BM_SparseOracleBatch/q/count times the oracle alone on gathered batches
+/// of right-hand sides, as the engines call it: the sampled-basis shapes at
+/// t = 3 and 4 (4 and 8), a few blocks (64) and the ~380-vector batches of
+/// the cold-features workload (512), in vectors per second of wall time.
+/// The two small batches also run at q = 13, where one vector's recurrence
+/// is long enough that spreading a batch over the pool pays.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -127,8 +129,8 @@ void BM_SparseOracleControlledPower(benchmark::State& state) {
 }
 
 void BM_SparseOracleBatch(benchmark::State& state) {
-  const OracleFixture fixture(7);
-  const std::size_t count = static_cast<std::size_t>(state.range(0));
+  const OracleFixture fixture(static_cast<std::size_t>(state.range(0)));
+  const std::size_t count = static_cast<std::size_t>(state.range(1));
   const SparseExpOperator op(fixture.sparse.matrix, kBenchPower,
                              fixture.sparse.spectrum_min(),
                              fixture.sparse.spectrum_max());
@@ -159,5 +161,7 @@ BENCHMARK(BM_DenseOracleAmortized)->DenseRange(8, 9)
 BENCHMARK(BM_SparseOracleControlledPower)->DenseRange(8, 12, 2)
     ->Unit(benchmark::kMillisecond);
 // The batch runs on the shared pool: real time, not the caller's CPU time.
-BENCHMARK(BM_SparseOracleBatch)->Arg(4)->Arg(64)->Arg(512)
+BENCHMARK(BM_SparseOracleBatch)
+    ->Args({7, 4})->Args({7, 8})->Args({7, 64})->Args({7, 512})
+    ->Args({13, 4})->Args({13, 8})
     ->Unit(benchmark::kMicrosecond)->UseRealTime();

@@ -122,6 +122,10 @@ ThreadPool& ThreadPool::shared() {
   return *pool;
 }
 
+std::size_t available_workers() {
+  return t_inside_pool_worker ? 1 : ThreadPool::shared().size();
+}
+
 void parallel_for_chunked(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body,

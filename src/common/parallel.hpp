@@ -3,9 +3,9 @@
 ///
 /// A cached thread pool with a blocking parallel_for and an ordered
 /// reduction.  What runs on it: the dense engine's marginal and norm
-/// reductions above 2^17 amplitudes, the Chebyshev oracle's blocks of eight
-/// right-hand sides (one contiguous chunk of blocks per worker) and, for a
-/// batch of a single block, its CSR passes split by rows above 4096 rows,
+/// reductions above 2^17 amplitudes, the Chebyshev oracle's blocks of up to
+/// eight right-hand sides (one contiguous chunk of blocks per worker) and,
+/// for a single right-hand side, its CSR passes split by rows above 4096 rows,
 /// the sharded engine's slab steps, and task-level sweeps (e.g. one random
 /// complex per worker in the Fig. 3 sweep).  The dense engine's gate
 /// kernels are serial.
@@ -76,6 +76,11 @@ class ThreadPool {
 /// parallelism, never results (the sharded engine is bit-identical for
 /// every count).
 std::size_t fair_thread_share(std::size_t active_requests);
+
+/// Workers a parallel_for{,_chunked} issued from the calling thread spreads
+/// over: the shared pool's size, or 1 inside a pool task, where nested calls
+/// run serially.
+std::size_t available_workers();
 
 /// Runs body(i) for i in [begin, end) across the shared pool, blocking until
 /// completion.  Work is split into contiguous chunks, one per worker, which

@@ -218,10 +218,21 @@ void SparseExpOperator::ensure_f32() const {
 
 namespace {
 
-/// Right-hand sides per blocked recurrence.  Each CSR entry is loaded once
-/// per block and applied to all of them: eight complex doubles fill two
-/// AVX-512 (four AVX2) registers per row.
+/// Most right-hand sides per blocked recurrence.  Each CSR entry is loaded
+/// once per block and applied to all of them: eight complex doubles fill
+/// two AVX-512 (four AVX2) registers per row.
 constexpr std::size_t kBlockWidth = 8;
+
+/// Block width for \p count > 0 right-hand sides over \p workers: at most
+/// kBlockWidth, and no wider than gives every worker the same number of
+/// blocks, so a batch of a few vectors still spreads over the pool (4
+/// vectors on 4 workers run as four blocks of one, 37 as eight blocks of at
+/// most five) while the long batches keep full blocks.
+std::size_t block_width(std::size_t count, std::size_t workers) {
+  const std::size_t per_round = kBlockWidth * workers;
+  const std::size_t rounds = (count + per_round - 1) / per_round;
+  return (count + rounds * workers - 1) / (rounds * workers);
+}
 
 /// Rows above which a lone block splits its CSR products across the pool.
 constexpr std::size_t kRowParallelMin = 4096;
@@ -299,16 +310,17 @@ void chebyshev_block(const ChebyshevRecurrence<R>& rec, std::size_t width,
 }
 
 /// Applies the recurrence to \p count consecutive length-rows vectors:
-/// blocks of kBlockWidth are transposed into [rows × width], run, and
-/// transposed back.  Chunks of blocks go on the shared pool, each with one
-/// workspace; a lone block splits its CSR products across rows instead.
+/// blocks of block_width() vectors are transposed into [rows × width], run,
+/// and transposed back.  Chunks of blocks go on the shared pool, each with
+/// one workspace; a lone block splits its CSR products across rows instead.
 template <typename R>
 void apply_blocked(const ChebyshevRecurrence<R>& rec,
                    const std::complex<R>* x, std::complex<R>* y,
                    std::size_t count) {
+  if (count == 0) return;
   const std::size_t d = rec.rows;
-  const std::size_t blocks = (count + kBlockWidth - 1) / kBlockWidth;
-  const std::size_t max_width = std::min(count, kBlockWidth);
+  const std::size_t max_width = block_width(count, available_workers());
+  const std::size_t blocks = (count + max_width - 1) / max_width;
   const bool parallel_rows = blocks == 1;
   const auto run_blocks = [&](std::size_t lo, std::size_t hi) {
     std::vector<std::complex<R>> work(4 * d * max_width);
@@ -317,8 +329,8 @@ void apply_blocked(const ChebyshevRecurrence<R>& rec,
     std::complex<R>* sb = tb + d * max_width;
     std::complex<R>* yb = sb + d * max_width;
     for (std::size_t b = lo; b < hi; ++b) {
-      const std::size_t first = b * kBlockWidth;
-      const std::size_t width = std::min(kBlockWidth, count - first);
+      const std::size_t first = b * max_width;
+      const std::size_t width = std::min(max_width, count - first);
       for (std::size_t j = 0; j < width; ++j) {
         const std::complex<R>* in = x + (first + j) * d;
         for (std::size_t r = 0; r < d; ++r) xb[r * width + j] = in[r];

@@ -16,10 +16,10 @@
 /// Chebyshev recurrence T_{k+1} = 2B·T_k − T_{k−1} costs one CSR pass per
 /// term and four vectors of workspace per right-hand side; nothing
 /// quadratic in the dimension is ever allocated.  Batches run it on
-/// interleaved blocks of eight right-hand sides, so each CSR pass serves
-/// the whole block (Al-Mohy & Higham treat exp(tA)·B with a block B as the
-/// native case: "Computing the action of the matrix exponential", SIAM J.
-/// Sci. Comput. 33(2), 2011).
+/// interleaved blocks of up to eight right-hand sides, so each CSR pass
+/// serves the whole block (Al-Mohy & Higham treat exp(tA)·B with a block B
+/// as the native case: "Computing the action of the matrix exponential",
+/// SIAM J. Sci. Comput. 33(2), 2011).
 #pragma once
 
 #include <complex>
@@ -94,12 +94,14 @@ class SparseExpOperator final : public LinearOperator {
   void apply(const std::complex<double>* x,
              std::complex<double>* y) const override;
 
-  /// Runs one Chebyshev recurrence per block of eight vectors, transposed
-  /// into an interleaved [d × 8] layout so every CSR entry is loaded once
-  /// per block; a trailing partial block runs at its own width.  Chunks of
-  /// blocks run on the shared pool; a batch of one block splits its CSR
-  /// passes across rows instead.  Each vector's result is bit-identical to
-  /// applying it alone, at every SIMD level.
+  /// Runs one Chebyshev recurrence per block of up to eight vectors,
+  /// transposed into an interleaved [d × width] layout so every CSR entry is
+  /// loaded once per block; a trailing partial block runs at its own width.
+  /// Chunks of blocks run on the shared pool, and a batch of fewer than
+  /// eight vectors per worker narrows its blocks so every worker gets the
+  /// same number; a single vector splits its CSR passes across rows
+  /// instead.  Each vector's result is bit-identical to applying it alone,
+  /// at every SIMD level.
   void apply_batch(const std::complex<double>* x, std::complex<double>* y,
                    std::size_t count) const override;
 

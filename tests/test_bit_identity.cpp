@@ -46,10 +46,11 @@ const std::map<std::string, std::uint64_t>& golden_fingerprints() {
   return golden;
 }
 
+// Fused plan shapes depend on the dispatch level's cost calibration, so a
+// vector level skips the two fused fingerprints; every other scenario's
+// arithmetic must not depend on the level at all.
 TEST(BitIdentity, ScalarDoubleResultsMatchHistoricalFingerprints) {
-  if (active_simd_level() != SimdLevel::kScalar) {
-    GTEST_SKIP() << "fingerprints pin the scalar paths; run with QTDA_SIMD=0";
-  }
+  const SimdLevel level = active_simd_level();
   const std::vector<BitIdentityFingerprint> actual =
       bit_identity_fingerprints();
   ASSERT_EQ(actual.size(), golden_fingerprints().size());
@@ -57,21 +58,13 @@ TEST(BitIdentity, ScalarDoubleResultsMatchHistoricalFingerprints) {
     const auto it = golden_fingerprints().find(fp.name);
     ASSERT_NE(it, golden_fingerprints().end())
         << "scenario \"" << fp.name << "\" has no committed expectation";
+    if (level != SimdLevel::kScalar &&
+        (fp.name == "dense_plan_fused" || fp.name == "sharded_plan_fused"))
+      continue;
     EXPECT_EQ(fp.hash, it->second)
         << "scenario \"" << fp.name
-        << "\" no longer reproduces the historical bytes";
-  }
-}
-
-// Fused plan shapes depend on the dispatch level's cost calibration; every
-// other scenario's arithmetic must not depend on the level at all.
-TEST(BitIdentity, UnfusedScenariosMatchFingerprintsAtEverySimdLevel) {
-  for (const BitIdentityFingerprint& fp : bit_identity_fingerprints()) {
-    if (fp.name == "dense_plan_fused" || fp.name == "sharded_plan_fused")
-      continue;
-    EXPECT_EQ(fp.hash, golden_fingerprints().at(fp.name))
-        << "scenario \"" << fp.name << "\" at SIMD level "
-        << simd_level_name(active_simd_level());
+        << "\" no longer reproduces the historical bytes at SIMD level "
+        << simd_level_name(level);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/cpu_features.hpp"
+#include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "linalg/expm_multiply.hpp"
 #include "linalg/linear_operator.hpp"
@@ -274,6 +275,25 @@ TEST(BlockedOracle, FloatBatchEqualsPerVectorAndScalarRecurrence) {
     EXPECT_TRUE(same_bytes(batch, single)) << "count " << count;
     EXPECT_TRUE(same_bytes(batch, reference)) << "count " << count;
   }
+}
+
+TEST(BlockedOracle, BatchInsideAPoolTaskEqualsBatchOnTheCaller) {
+  // Inside a pool task the batch runs serially in full-width blocks; on
+  // the caller it narrows its blocks to fill the pool.  Same bytes.
+  const std::size_t d = 32;
+  const SparseExpOperator op(oracle_matrix(d), 6.5, kLambdaMin, kLambdaMax);
+  Rng rng(109);
+  for (std::size_t count : {4u, 37u}) {
+    const std::vector<std::complex<double>> x =
+        random_vector<double>(count * d, rng);
+    std::vector<std::complex<double>> caller(count * d), nested(count * d);
+    op.apply_batch(x.data(), caller.data(), count);
+    ThreadPool::shared().submit(
+        [&] { op.apply_batch(x.data(), nested.data(), count); });
+    ThreadPool::shared().wait_idle();
+    EXPECT_TRUE(same_bytes(caller, nested)) << "count " << count;
+  }
+  op.apply_batch(nullptr, nullptr, 0);  // an empty batch touches nothing
 }
 
 TEST(BlockedOracle, SingleTermExpansionScalesByTheLoneCoefficient) {

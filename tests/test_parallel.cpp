@@ -129,6 +129,14 @@ TEST(ParallelReduceOrdered, MatchesSerialAndIsReproducible) {
   EXPECT_NEAR(first, serial, 1e-6 * serial);
 }
 
+TEST(AvailableWorkers, PoolSizeOnTheCallerOneInsideAPoolTask) {
+  EXPECT_EQ(available_workers(), ThreadPool::shared().size());
+  std::atomic<std::size_t> inside{0};
+  ThreadPool::shared().submit([&] { inside = available_workers(); });
+  ThreadPool::shared().wait_idle();
+  EXPECT_EQ(inside.load(), 1u);
+}
+
 TEST(HardwareConcurrency, AtLeastOne) {
   EXPECT_GE(hardware_concurrency(), 1u);
 }
