@@ -1,8 +1,16 @@
 /// \file micro_statevector.cpp
 /// \brief google-benchmark microbenches for the state-vector kernels.
+///
+/// BM_GateSweepDense/q and BM_OperatorOracleDense/q run one QPE-shaped gate
+/// sweep and one controlled Chebyshev oracle through the statevector
+/// backend: the reference marks for parallelizing the engine's gate
+/// kernels.
 #include <benchmark/benchmark.h>
 
 #include "common/random.hpp"
+#include "linalg/expm_multiply.hpp"
+#include "linalg/sparse_matrix.hpp"
+#include "quantum/backend.hpp"
 #include "quantum/executor.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/statevector.hpp"
@@ -10,6 +18,59 @@
 namespace {
 
 using namespace qtda;
+
+/// A gate sweep shaped like one QPE fragment: an H wall, an entangling CNOT
+/// chain, and a rotation layer.
+Circuit sweep_circuit(std::size_t q) {
+  Circuit circuit(q);
+  for (std::size_t w = 0; w < q; ++w) circuit.h(w);
+  for (std::size_t w = 1; w < q; ++w) circuit.cnot(w - 1, w);
+  for (std::size_t w = 0; w < q; ++w)
+    circuit.rz(w, 0.1 * static_cast<double>(w + 1));
+  return circuit;
+}
+
+/// Tridiagonal symmetric CSR Hamiltonian of dimension 2^m.
+SparseMatrix tridiagonal_hamiltonian(std::size_t m) {
+  const std::size_t dim = std::size_t{1} << m;
+  std::vector<Triplet> triplets;
+  for (std::size_t i = 0; i < dim; ++i) {
+    triplets.push_back({i, i, 2.0});
+    if (i + 1 < dim) {
+      triplets.push_back({i, i + 1, -1.0});
+      triplets.push_back({i + 1, i, -1.0});
+    }
+  }
+  return SparseMatrix::from_triplets(dim, dim, std::move(triplets));
+}
+
+void BM_GateSweepDense(benchmark::State& state) {
+  const auto q = static_cast<std::size_t>(state.range(0));
+  StatevectorBackend backend(q);
+  const Circuit circuit = sweep_circuit(q);
+  for (auto _ : state) {
+    backend.apply_circuit(circuit);
+    benchmark::DoNotOptimize(backend.state().amplitudes().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(circuit.gate_count()) *
+                          static_cast<std::int64_t>(1ULL << q));
+}
+BENCHMARK(BM_GateSweepDense)->DenseRange(12, 16, 2);
+
+void BM_OperatorOracleDense(benchmark::State& state) {
+  const auto q = static_cast<std::size_t>(state.range(0));
+  const std::size_t m = q - 2;  // system register below 2 precision wires
+  StatevectorBackend backend(q);
+  const SparseExpOperator op(tridiagonal_hamiltonian(m), 1.0, 0.0, 4.0);
+  std::vector<std::size_t> targets;
+  for (std::size_t w = 2; w < q; ++w) targets.push_back(w);
+  for (auto _ : state) {
+    backend.apply_operator(op, targets, {0});
+    benchmark::DoNotOptimize(backend.state().amplitudes().data());
+  }
+}
+BENCHMARK(BM_OperatorOracleDense)->DenseRange(12, 14, 2);
 
 void BM_HadamardGate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

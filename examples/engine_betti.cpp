@@ -1,17 +1,14 @@
-/// \file sharded_betti.cpp
+/// \file engine_betti.cpp
 /// \brief CLI driver for the pluggable engines: a random flag complex →
 /// sparse Δ_k → matrix-free QPE on the simulator selected by name, with the
-/// shard count and noise model plumbed from the command line through
-/// EstimatorOptions.
+/// noise model plumbed from the command line through EstimatorOptions.
 ///
 /// Build & run:
-///   ./build/examples/example_sharded_betti --simulator sharded-statevector
-///       --shards 4 --vertices 8 --verify
-///   ./build/examples/example_sharded_betti --simulator density-matrix
+///   ./build/examples/example_engine_betti --vertices 8 --stats
+///   ./build/examples/example_engine_betti --simulator density-matrix
 ///       --noise 0.02 --verify     # exact channels vs trajectory ensemble
 ///
-/// Flags: --simulator <name>  engine (default sharded-statevector)
-///        --shards <n>        slab/worker count (0 = hardware concurrency)
+/// Flags: --simulator <name>  engine (default statevector)
 ///        --vertices <n>      random flag-complex size (default 8)
 ///        --dimension <k>     homology dimension (default 1)
 ///        --precision <t>     QPE precision qubits (default 4)
@@ -24,8 +21,7 @@
 ///                            the peephole optimizer's, and a telemetry
 ///                            snapshot (spans, counters, per-op-kind time)
 ///                            for the very circuit the estimate executed
-///        --verify            statevector engines: run the dense engine and
-///                            demand bit-identity; density-matrix: check a
+///        --verify            density-matrix only: check a
 ///                            run_noisy_trajectory ensemble converges to the
 ///                            exact-channel marginal of the same circuit
 #include <cmath>
@@ -115,7 +111,7 @@ int main(int argc, char** argv) {
   const int k = static_cast<int>(args.get_int("dimension", 1));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 29));
   const std::string simulator_name =
-      args.get_string("simulator", "sharded-statevector");
+      args.get_string("simulator", "statevector");
 
   EstimatorOptions options;
   options.backend = EstimatorBackend::kCircuitSparse;
@@ -125,9 +121,17 @@ int main(int argc, char** argv) {
   options.seed = seed;
   // The parser rejects unknown names with the list of valid ones — no
   // ad-hoc string matching in driver code.
-  options.simulator = simulator_kind_from_name(simulator_name);
-  options.simulator_shards =
-      static_cast<std::size_t>(args.get_int("shards", 0));
+  try {
+    options.simulator = simulator_kind_from_name(simulator_name);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return 2;
+  }
+  if (args.get_bool("verify") &&
+      options.simulator != SimulatorKind::kDensityMatrix) {
+    std::fprintf(stderr, "--verify needs --simulator density-matrix\n");
+    return 2;
+  }
   const double noise = args.get_double("noise", 0.0);
   options.noise = NoiseModel{noise, noise};
 
@@ -139,7 +143,7 @@ int main(int argc, char** argv) {
   while (complex.count(k) == 0)
     complex = random_flag_complex(complex_options, rng);
 
-  std::printf("sharded Betti estimation (valid simulators: %s)\n",
+  std::printf("Betti estimation (valid simulators: %s)\n",
               simulator_kind_names().c_str());
   std::printf("complex: %zu vertices, %zu k-simplices (k = %d)\n", vertices,
               complex.count(k), k);
@@ -147,12 +151,11 @@ int main(int argc, char** argv) {
   const SparseMatrix laplacian = sparse_combinatorial_laplacian(complex, k);
   const BettiEstimate estimate =
       estimate_betti_from_sparse_laplacian(laplacian, options);
-  std::printf("engine %s (shards = %zu): beta~_%d = %.4f -> %zu "
+  std::printf("engine %s: beta~_%d = %.4f -> %zu "
               "(classical %zu; %zu qubits, %zu gates)\n",
-              simulator_name.c_str(), options.simulator_shards, k,
-              estimate.estimated_betti, estimate.rounded_betti,
-              betti_number(complex, k), estimate.total_qubits,
-              estimate.circuit_gates);
+              simulator_name.c_str(), k, estimate.estimated_betti,
+              estimate.rounded_betti, betti_number(complex, k),
+              estimate.total_qubits, estimate.circuit_gates);
 
   if (args.get_bool("stats")) {
     // The same circuit the estimate just executed, compiled under the very
@@ -188,34 +191,18 @@ int main(int argc, char** argv) {
   }
 
   if (args.get_bool("verify")) {
-    if (options.simulator == SimulatorKind::kDensityMatrix) {
-      // Exact channels have no bit-identical statevector counterpart;
-      // instead demand the physics: trajectory ensembles converge to the
-      // exact marginal of the very circuit the estimate just ran.
-      const auto trajectories =
-          static_cast<std::size_t>(args.get_int("trajectories", 200));
-      std::printf("trajectory-ensemble convergence check (%zu trajectories, "
-                  "noise %.3f):\n",
-                  trajectories, noise);
-      // The sparse overload rebuilds the literally identical matrix-free
-      // circuit the estimate above executed — no densification round-trip.
-      const Circuit circuit = build_qtda_circuit(laplacian, options);
-      if (!verify_trajectory_convergence(circuit, options, trajectories))
-        return 1;
-    } else {
-      EstimatorOptions dense_options = options;
-      dense_options.simulator = SimulatorKind::kStatevector;
-      const BettiEstimate reference =
-          estimate_betti_from_sparse_laplacian(laplacian, dense_options);
-      const bool identical =
-          estimate.zero_counts == reference.zero_counts &&
-          estimate.estimated_betti == reference.estimated_betti;
-      std::printf("dense-engine check: zero counts %llu vs %llu -> %s\n",
-                  static_cast<unsigned long long>(estimate.zero_counts),
-                  static_cast<unsigned long long>(reference.zero_counts),
-                  identical ? "bit-identical" : "MISMATCH");
-      if (!identical) return 1;
-    }
+    // Trajectory ensembles must converge to the exact-channel marginal of
+    // the very circuit the estimate just ran.
+    const auto trajectories =
+        static_cast<std::size_t>(args.get_int("trajectories", 200));
+    std::printf("trajectory-ensemble convergence check (%zu trajectories, "
+                "noise %.3f):\n",
+                trajectories, noise);
+    // The sparse overload rebuilds the literally identical matrix-free
+    // circuit the estimate above executed — no densification round-trip.
+    const Circuit circuit = build_qtda_circuit(laplacian, options);
+    if (!verify_trajectory_convergence(circuit, options, trajectories))
+      return 1;
   }
   return 0;
 }

@@ -20,8 +20,8 @@ stdout
 
 complex-scalar
     No hard-coded std::complex<double> in the scalar-templated simulation
-    spine (statevector, sharded_statevector, density_matrix, executor,
-    backend, mixed_state, compiler).  The amplitude scalar is a template
+    spine (statevector, density_matrix, executor, backend, mixed_state,
+    compiler).  The amplitude scalar is a template
     parameter there; a literal complex128 silently pins one precision and
     breaks the float32 engines.  Genuine double-boundary sites (widening
     accumulators, the ComplexMatrix casting rails) carry waivers.
@@ -104,7 +104,6 @@ COMPLEX_SCALAR_PATTERN = (
 # the repo root, forward slashes.
 COMPLEX_SCALAR_FILES = {
     "src/quantum/statevector.hpp", "src/quantum/statevector.cpp",
-    "src/quantum/sharded_statevector.hpp", "src/quantum/sharded_statevector.cpp",
     "src/quantum/density_matrix.hpp", "src/quantum/density_matrix.cpp",
     "src/quantum/executor.hpp", "src/quantum/executor.cpp",
     "src/quantum/backend.hpp", "src/quantum/backend.cpp",

@@ -82,41 +82,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::run_batch(std::size_t count,
-                           const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  if (count == 1 || size() <= 1 || t_inside_pool_worker) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  // The completion counter must be incremented under barrier.mutex: the
-  // caller may only observe done == count via the same lock the last worker
-  // holds while notifying, otherwise it could return and destroy the
-  // barrier stack local while that worker still touches it.
-  CompletionBarrier barrier;
-  for (std::size_t i = 0; i < count; ++i) {
-    submit([&, i] {
-      std::exception_ptr error;
-      try {
-        body(i);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      MutexLock lock(barrier.mutex);
-      if (error != nullptr && barrier.first_error == nullptr)
-        barrier.first_error = error;
-      if (++barrier.done == count) barrier.done_cv.notify_all();
-    });
-  }
-  std::exception_ptr first_error;
-  {
-    MutexLock lock(barrier.mutex);
-    while (barrier.done != count) barrier.done_cv.wait(barrier.mutex);
-    first_error = barrier.first_error;
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 ThreadPool& ThreadPool::shared() {
   static ThreadPool* pool = new ThreadPool();  // intentionally leaked
   return *pool;
@@ -141,9 +106,10 @@ void parallel_for_chunked(
   const std::size_t chunks = std::min(workers, n);
   const std::size_t chunk = (n + chunks - 1) / chunks;
   const std::size_t launched = (n + chunk - 1) / chunk;
-  // Counter under barrier.mutex, as in ThreadPool::run_batch: the caller
-  // must not be able to observe completion and destroy the barrier stack
-  // local while the last worker is still between its increment and notify.
+  // The completion counter must be incremented under barrier.mutex: the
+  // caller may only observe done == launched via the same lock the last
+  // worker holds while notifying, otherwise it could return and destroy the
+  // barrier stack local while that worker still touches it.
   CompletionBarrier barrier;
   for (std::size_t c = 0; c < launched; ++c) {
     const std::size_t lo = begin + c * chunk;
@@ -179,12 +145,6 @@ void parallel_for(std::size_t begin, std::size_t end,
         for (std::size_t i = lo; i < hi; ++i) body(i);
       },
       min_parallel_size);
-}
-
-std::size_t fair_thread_share(std::size_t active_requests) {
-  const std::size_t pool = ThreadPool::shared().size();
-  if (active_requests <= 1) return pool;
-  return std::max<std::size_t>(1, pool / active_requests);
 }
 
 }  // namespace qtda

@@ -153,8 +153,7 @@ void execute_plan_estimate(BettiEstimate& estimate, const ExecutionPlan& plan,
   QTDA_COUNTER_ADD("estimator.shots", options.shots);
   const std::vector<std::size_t> measured = layout.precision_wires();
   const std::unique_ptr<SimulatorBackend> backend =
-      make_simulator(options.simulator, plan.num_qubits(),
-                     options.simulator_shards, options.precision);
+      make_simulator(options.simulator, plan.num_qubits(), options.precision);
 
   // Noisy evolution runs through the backend's own channel semantics
   // (run_noisy_trajectory's error placement and RNG consumption order).
@@ -468,7 +467,6 @@ std::vector<BettiEstimate> estimate_betti_batch(
                      options.mixed_state == MixedStateMode::kPurification,
                  "batched request is not plan-compatible");
     QTDA_REQUIRE(options.simulator == first.simulator &&
-                     options.simulator_shards == first.simulator_shards &&
                      options.precision == first.precision,
                  "batched requests must share the simulation engine");
   }
@@ -476,7 +474,7 @@ std::vector<BettiEstimate> estimate_betti_batch(
   // One deterministic evolution...
   const std::unique_ptr<SimulatorBackend> backend =
       make_simulator(first.simulator, compiled.plan->num_qubits(),
-                     first.simulator_shards, first.precision);
+                     first.precision);
   {
     QTDA_SPAN("evolve");
     backend->prepare_basis_state(0);

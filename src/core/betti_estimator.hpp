@@ -74,11 +74,6 @@ struct EstimatorOptions {
   /// reference run_noisy_trajectory converges to — and compose with the
   /// matrix-free kCircuitSparse oracle (conjugated on the column register).
   SimulatorKind simulator = SimulatorKind::kStatevector;
-  /// kShardedStatevector only: amplitude-slab/worker count (0 = one per
-  /// hardware thread).  Any count ≥ 1 is valid and every count produces
-  /// bit-identical estimates — the knob trades memory locality for
-  /// parallelism, never results.
-  std::size_t simulator_shards = 0;
   /// Amplitude scalar of the simulation engine.  kFloat64 is the reference;
   /// kFloat32 halves statevector memory and bandwidth at ~1e-7 relative
   /// amplitude error — safe for Betti estimation whenever the QPE phase
@@ -187,8 +182,8 @@ CompiledEstimate compile_betti_estimate(const SparseMatrix& laplacian,
 /// Executes a previously compiled estimate.  \p options must be
 /// plan-compatible with the options the estimate was compiled under (same
 /// backend, precision qubits, mixed-state mode, and — when noisy — a plan
-/// compiled with noise slots); shots, seed, simulator kind/shards and
-/// amplitude precision are free to vary per call.  Bit-identical to running
+/// compiled with noise slots); shots, seed, simulator kind and amplitude
+/// precision are free to vary per call.  Bit-identical to running
 /// estimate_betti_from_sparse_laplacian with the same options.
 BettiEstimate estimate_betti_with_plan(const CompiledEstimate& compiled,
                                        const EstimatorOptions& options);
@@ -200,8 +195,8 @@ BettiEstimate estimate_betti_with_plan(const CompiledEstimate& compiled,
 /// own Rng seeded from its own seed, in request order) is *bit-identical* to
 /// running estimate_betti_with_plan once per request.  Every request must be
 /// plan-compatible (same checks as estimate_betti_with_plan) and share the
-/// simulator kind, shard count, and amplitude precision; shots and seed are
-/// free to vary.  Returns the estimates in request order.
+/// simulator kind and amplitude precision; shots and seed are free to
+/// vary.  Returns the estimates in request order.
 std::vector<BettiEstimate> estimate_betti_batch(
     const CompiledEstimate& compiled,
     const std::vector<EstimatorOptions>& requests);

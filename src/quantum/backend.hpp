@@ -2,9 +2,8 @@
 /// \brief Pluggable simulator backends.
 ///
 /// The estimator and pipeline drive simulations through this interface
-/// instead of a concrete Statevector, so alternative engines — an exact
-/// density-matrix backend for noise studies, a sharded/distributed
-/// statevector for q beyond single-node memory — can drop in without
+/// instead of a concrete Statevector, so alternative engines — such as the
+/// exact density-matrix backend for noise studies — can drop in without
 /// touching the algorithm layer.  The contract is deliberately small:
 /// prepare a basis state, apply gates/circuits, apply a matrix-free
 /// operator to a sub-register, inject depolarizing noise, and sample.
@@ -29,16 +28,16 @@
 #include "quantum/density_matrix.hpp"
 #include "quantum/noise.hpp"
 #include "quantum/precision.hpp"
-#include "quantum/sharded_statevector.hpp"
 #include "quantum/statevector.hpp"
 
 namespace qtda {
 
-/// Which simulation engine executes the circuits.
+/// Which simulation engine executes the circuits.  The enumerator values
+/// are stable identifiers (gtest prints them in the names of the tests
+/// parameterized over engines), so they are spelled out and never reused.
 enum class SimulatorKind {
-  kStatevector,         ///< dense state vector (the reference engine)
-  kShardedStatevector,  ///< slab-parallel state vector (bit-identical)
-  kDensityMatrix,       ///< exact-channel ρ evolution (4^n storage, q ≤ 13)
+  kStatevector = 0,    ///< dense state vector (the reference engine)
+  kDensityMatrix = 2,  ///< exact-channel ρ evolution (4^n storage, q ≤ 13)
 };
 
 /// Printable name ("statevector", …).
@@ -169,51 +168,6 @@ class BasicStatevectorBackend final : public SimulatorBackend {
 using StatevectorBackend = BasicStatevectorBackend<double>;
 using StatevectorBackendF32 = BasicStatevectorBackend<float>;
 
-/// Slab-parallel state-vector implementation (quantum/sharded_statevector.hpp):
-/// the amplitudes are split into num_shards contiguous slabs updated by a
-/// private worker pool, one barrier step per gate.  Every result — state,
-/// marginals, samples — is bit-identical to the dense backend *of the same
-/// precision* for every shard count, so the two engines are interchangeable
-/// mid-experiment.
-template <typename Real>
-class BasicShardedStatevectorBackend final : public SimulatorBackend {
- public:
-  /// \p num_shards ≥ 1 (clamped to the dimension); it need not divide the
-  /// dimension or be a power of two.
-  BasicShardedStatevectorBackend(std::size_t num_qubits,
-                                 std::size_t num_shards);
-
-  std::string name() const override { return "sharded-statevector"; }
-  std::size_t num_qubits() const override { return state_.num_qubits(); }
-  Precision precision() const override { return precision_of<Real>(); }
-  void prepare_basis_state(std::uint64_t index) override;
-  void apply_gate(const Gate& gate) override;
-  void apply_circuit(const Circuit& circuit) override;
-  void apply_global_phase(double phi) override;
-  /// Plan execution with native slab-local diagonals (other op kinds run
-  /// through the ordinary gate kernels, which fused blocks already reach).
-  void apply_plan(const ExecutionPlan& plan) override;
-  void apply_operator(const LinearOperator& op,
-                      const std::vector<std::size_t>& targets,
-                      const std::vector<std::size_t>& controls) override;
-  void apply_depolarizing(std::size_t qubit, double probability,
-                          Rng& rng) override;
-  std::vector<double> marginal_probabilities(
-      const std::vector<std::size_t>& qubits) const override;
-  std::vector<std::uint64_t> sample(const std::vector<std::size_t>& qubits,
-                                    std::size_t shots, Rng& rng) const override;
-
-  /// The underlying slab state, for backend-aware diagnostics and tests.
-  const BasicShardedStatevector<Real>& state() const { return state_; }
-  BasicShardedStatevector<Real>& state() { return state_; }
-
- private:
-  BasicShardedStatevector<Real> state_;
-};
-
-using ShardedStatevectorBackend = BasicShardedStatevectorBackend<double>;
-using ShardedStatevectorBackendF32 = BasicShardedStatevectorBackend<float>;
-
 /// Exact-channel implementation: evolves ρ itself (4^n vectorized storage,
 /// at most 13 qubits), so depolarizing noise is applied *exactly* instead of
 /// sampled — the reference that trajectory ensembles converge to.  Gates run
@@ -261,28 +215,24 @@ using DensityMatrixBackendF32 = BasicDensityMatrixBackend<float>;
 
 extern template class BasicStatevectorBackend<double>;
 extern template class BasicStatevectorBackend<float>;
-extern template class BasicShardedStatevectorBackend<double>;
-extern template class BasicShardedStatevectorBackend<float>;
 extern template class BasicDensityMatrixBackend<double>;
 extern template class BasicDensityMatrixBackend<float>;
 
-/// Factory used by the estimator options plumbing.  \p shards only matters
-/// for kShardedStatevector (0 = one slab per hardware thread); \p precision
-/// selects the amplitude scalar (complex128 by default).
+/// Factory used by the estimator options plumbing.  \p precision selects
+/// the amplitude scalar (complex128 by default).
 ///
 /// Environment overrides (read per call): QTDA_SIMULATOR forces the engine
-/// by name, QTDA_SHARDS forces the slab count, and QTDA_PRECISION forces
-/// the scalar width — the hooks the CI legs use to route the whole
-/// unmodified test suite through the sharded engine or the complex64
-/// engines.  QTDA_SIMD is validated eagerly here too, so a malformed SIMD
-/// override fails at backend construction with the variable named instead
-/// of deep inside the first hot kernel.  Malformed values fail fast with
-/// the variable named in the error, and forcing density-matrix onto a
-/// register wider than its 13-qubit 4^n storage cap is rejected here
-/// (clearly attributed to the override) instead of surfacing a construction
-/// failure from deep inside a run.
+/// by name and QTDA_PRECISION forces the scalar width — the hooks the CI
+/// legs use to route unmodified tests through the density-matrix or the
+/// complex64 engines.  QTDA_SIMD is validated eagerly here too, so a
+/// malformed SIMD override fails at backend construction with the variable
+/// named instead of deep inside the first hot kernel.  Malformed values
+/// fail fast with the variable named in the error, and forcing
+/// density-matrix onto a register wider than its 13-qubit 4^n storage cap
+/// is rejected here (clearly attributed to the override) instead of
+/// surfacing a construction failure from deep inside a run.
 std::unique_ptr<SimulatorBackend> make_simulator(
-    SimulatorKind kind, std::size_t num_qubits, std::size_t shards = 0,
+    SimulatorKind kind, std::size_t num_qubits,
     Precision precision = Precision::kFloat64);
 
 }  // namespace qtda

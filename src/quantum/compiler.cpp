@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "common/cpu_features.hpp"
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "linalg/matrix_ops.hpp"
@@ -40,39 +39,24 @@ double gate_sweep_cost(const Gate& gate) {
   return arithmetic + kPassCost;
 }
 
-/// Per-amplitude cost of one fused pass.  Width-2 dense blocks run through
-/// a specialized pair kernel (no offset-table gather); wider blocks pay the
-/// generic gather + matmul — priced in so a block is only emitted when it
-/// genuinely beats the gates it replaces.
-///
-/// Two calibrations, selected by the runtime kernel dispatch level,
-/// because vectorization shifts the ratios the model prices:
-///
-///  * Scalar (QTDA_SIMD=0): the historical constants, re-confirmed against
-///    the scalar kernels (four-point pass 3.3× a pair sweep → width-2 at
-///    13.0; diagonal pass 1.3× → 2.0 + pass).  Keeping these untouched
-///    also keeps scalar plan shapes — and therefore the pre-vectorization
-///    bit-identity fingerprints — byte-stable.
-///  * Vectorized (AVX2/AVX-512): re-measured per amplitude against the
-///    dispatched kernels (bench_micro_simd plus a pair-sweep-normalized
-///    calibration sweep).  The four-point pass dropped to 2.1× a
-///    vectorized pair sweep (both vectorize well) → width-2 at 7.0, so
-///    2-wide fusion now pays off around 3 absorbed gates instead of ~5.
-///    The table-lookup diagonal pass vectorizes worst of the four hot
-///    loops (gather-bound): 2.4× a pair sweep, ≈7.3 units measured.  It
-///    is priced at 6.0 — the profitable-growth bound (kGrowthSlack admits
-///    a ladder's second rung only at ≤ 6.0) — which still flips the
-///    decision the measurement calls for: 2-gate diagonal runs stay
-///    verbatim, runs of 3+ (every QPE ladder that matters) collapse.
-///    Wide blocks measured 33/38/73 units at widths 3/4/5 vs the model's
-///    23/43/83: the 2.5·2^m form still brackets the data (fixed per-block
-///    overhead dominates width 3, vector throughput wins at 4–5), so it
-///    is kept for both calibrations.
+/// Per-amplitude cost of one fused pass, calibrated against the vector
+/// kernels (bench_micro_simd plus a pair-sweep-normalized calibration
+/// sweep) and used at every dispatch level, so every level builds the same
+/// plans.  Width-2 dense blocks run through a specialized pair kernel (no
+/// offset-table gather): the four-point pass measured 2.1× a pair sweep →
+/// 7.0, so 2-wide fusion pays off around 3 absorbed gates.  The
+/// table-lookup diagonal pass is gather-bound, 2.4× a pair sweep (≈7.3
+/// units measured); it is priced at 6.0 — the profitable-growth bound
+/// (kGrowthSlack admits a ladder's second rung only at ≤ 6.0) — so 2-gate
+/// diagonal runs stay verbatim and runs of 3+ (every QPE ladder that
+/// matters) collapse.  Wider blocks pay the generic gather + matmul: they
+/// measured 33/38/73 units at widths 3/4/5 against the model's 23/43/83,
+/// and the 2.5·2^m form still brackets the data (fixed per-block overhead
+/// dominates width 3, vector throughput wins at 4–5).
 double fused_sweep_cost(bool diagonal, std::size_t width) {
   if (width <= 1) return 2.0 + kPassCost;  // emitted as a plain pair sweep
-  const bool vectorized = active_simd_level() != SimdLevel::kScalar;
-  if (diagonal) return vectorized ? 6.0 : 2.0 + kPassCost;
-  if (width == 2) return vectorized ? 7.0 : 13.0;
+  if (diagonal) return 6.0;
+  if (width == 2) return 7.0;
   return 2.5 * std::ldexp(1.0, static_cast<int>(width)) + kGatherCost +
          kPassCost;
 }

@@ -1,13 +1,13 @@
 /// \file precision.hpp
 /// \brief Amplitude precision selection for the simulation spine.
 ///
-/// Every engine (Statevector, ShardedStatevector, DensityMatrix) is a
-/// template over the real scalar of its amplitudes; this enum is the
-/// runtime handle the factory and the estimator options use to pick an
-/// instantiation.  complex128 (double) is the default and the reference;
-/// complex64 (float) halves memory traffic — the lever identified by the
-/// mixed-precision exemplars — at ~1e-7 relative amplitude error, which the
-/// precision-tolerance tests bound per backend.
+/// Every engine (Statevector, DensityMatrix) is a template over the real
+/// scalar of its amplitudes; this enum is the runtime handle the factory
+/// and the estimator options use to pick an instantiation.  complex128
+/// (double) is the default and the reference; complex64 (float) halves
+/// memory traffic — the lever identified by the mixed-precision exemplars —
+/// at ~1e-7 relative amplitude error, which the precision-tolerance tests
+/// bound per backend.
 ///
 /// The `QTDA_PRECISION` environment variable overrides the requested
 /// precision in make_simulator (values: "float64"/"float32"); malformed

@@ -2,12 +2,13 @@
 /// \brief Shared target/control mask building and block enumeration for the
 /// simulation engines.
 ///
-/// The dense and sharded state-vector engines promise *bit-identical*
-/// results, which starts with decomposing the register identically: the
-/// same target masks (MSB-first wire convention of types.hpp), the same
+/// An unfused compiled plan replays the state vector's gate-by-gate walk
+/// *bit for bit*, which starts with decomposing the register identically:
+/// the same target masks (MSB-first wire convention of types.hpp), the same
 /// local-offset tables, and the same block-column base enumeration, in the
-/// same order.  Both engines call these helpers so the decomposition exists
-/// exactly once.
+/// same order.  The engine's gate kernels, its plan fast path and the
+/// compiler all call these helpers so the decomposition exists exactly
+/// once.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +82,7 @@ inline bool targets_are_trailing(const std::vector<std::size_t>& targets,
 
 /// Base indices of the blocks an operator acts on: every setting of the
 /// non-target bits whose control bits are all one, enumerated in increasing
-/// order (both engines must walk blocks identically).
+/// order (the gate walk and the plan path must walk blocks identically).
 inline std::vector<std::uint64_t> enumerate_block_bases(std::uint64_t dim,
                                                         std::uint64_t tmask,
                                                         std::uint64_t cmask) {
@@ -132,10 +133,10 @@ inline DiagonalExtract build_diagonal_extract(
 
 /// Applies a fused diagonal to the amplitude run amp[0..count) holding the
 /// global indices [first_index, first_index + count).  The run count is a
-/// template parameter so the extraction fully unrolls — shared by the
-/// dense and sharded engines, whose per-amplitude arithmetic must match
-/// bit for bit.  Templated over the complex amplitude type so the float32
-/// engines reuse the identical kernel shape.
+/// template parameter so the extraction fully unrolls.  This is the scalar
+/// branch of simd::diagonal_pass, whose vector bodies must match it bit for
+/// bit.  Templated over the complex amplitude type so the float32 engines
+/// reuse the identical kernel shape.
 template <std::size_t R, typename C>
 inline void apply_diagonal_run_fixed(C* amp, std::uint64_t first_index,
                                      std::uint64_t count,

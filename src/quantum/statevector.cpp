@@ -14,12 +14,11 @@ namespace qtda {
 
 namespace {
 
-/// Below this state size the parallel fork/join overhead dominates
-/// (measured: parallel dispatch on 2^14-amplitude states made the exact
-/// density-matrix ablation ~10x slower than serial kernels).  Shared with
-/// the sharded engine (statevector.hpp) so both backends pick identical
-/// ordered-reduction chunkings — the root of their bit-identical marginals.
-constexpr std::uint64_t kParallelThreshold = kStatevectorParallelThreshold;
+/// Below this state size the measurement reductions run serially: the
+/// parallel fork/join overhead dominates (measured: parallel dispatch on
+/// 2^14-amplitude states made the exact density-matrix ablation ~10x slower
+/// than serial kernels).
+constexpr std::uint64_t kParallelThreshold = 1ULL << 17;
 
 /// Contiguous runs shorter than this stay on the scalar pair/four-point
 /// sweeps: a sub-vector-width run per dispatch call costs more than it

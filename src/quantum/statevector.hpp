@@ -5,8 +5,8 @@
 /// convention of types.hpp.  Gate kernels are cache-friendly strided loops
 /// and run serially at every size (the state for the paper's circuits
 /// ranges from 2^3 to 2^20 amplitudes).  The shared pool runs the ordered
-/// reductions behind marginals and norms above kStatevectorParallelThreshold
-/// and the operator gates' batches of right-hand sides.
+/// reductions behind marginals and norms above 2^17 amplitudes and the
+/// operator gates' batches of right-hand sides.
 ///
 /// The engine is `BasicStatevector<Real>` with `Real` ∈ {double, float}
 /// (explicitly instantiated in statevector.cpp): complex128 is the default
@@ -31,14 +31,6 @@
 #include "quantum/types.hpp"
 
 namespace qtda {
-
-/// State sizes below this run measurement reductions serially (above it,
-/// chunked over the shared pool).  One definition for both the dense and the
-/// sharded engine: the ordered-reduction chunking is a function of this
-/// threshold and the shared-pool size, and the two backends must pick the
-/// same chunking for their marginals to merge partial sums in the same
-/// order — the discipline behind their bit-identical results.
-inline constexpr std::uint64_t kStatevectorParallelThreshold = 1ULL << 17;
 
 /// Widens an amplitude to the double boundary type (identity for double —
 /// the double engine's reductions are source-identical to the historical

@@ -148,8 +148,6 @@ EstimateRequest parse_request(const std::string& line) {
                                         : MixedStateMode::kSampledBasis;
     } else if (key == "simulator") {
       request.options.simulator = simulator_kind_from_name(value);
-    } else if (key == "shards") {
-      request.options.simulator_shards = parse_u64(value, "shards");
     } else if (key == "precision") {
       request.options.precision = precision_from_name(value);
     } else if (key == "trotter_steps") {
@@ -180,7 +178,6 @@ std::string format_request(const EstimateRequest& request) {
               ? "purify"
               : "sampled")
       << " simulator=" << simulator_kind_name(request.options.simulator)
-      << " shards=" << request.options.simulator_shards
       << " precision=" << precision_name(request.options.precision);
   if (request.options.delta != 0.0)
     out << " delta=" << format_double(request.options.delta);

@@ -8,7 +8,6 @@
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "common/telemetry.hpp"
 #include "quantum/precision.hpp"
 #include "serve/errors.hpp"
@@ -304,7 +303,6 @@ void BettiServer::worker_loop() {
       for (const Pending& pending : batch)
         serve_histograms().queue_wait.record(ns_since(pending.admitted_at));
     }
-    active_executions_.fetch_add(1);
     try {
       execute_batch(std::move(batch));
     } catch (...) {
@@ -314,7 +312,6 @@ void BettiServer::worker_loop() {
       QTDA_ERROR << "worker: unexpected exception escaped execution";
       errors_.fetch_add(1);
     }
-    active_executions_.fetch_sub(1);
   }
 }
 
@@ -360,21 +357,9 @@ std::string BettiServer::batch_key_of(const EstimateRequest& request) {
                     "|eps=" + format_double(request.epsilon);
   key += "|" + ArtifactStore::plan_key(0, request.k, request.options);
   key += "|sim=" + simulator_kind_name(request.options.simulator);
-  key += "|shards=" + std::to_string(request.options.simulator_shards);
   // shots and seed are intentionally NOT key axes: they vary per request
   // inside one batched execution.
   return key;
-}
-
-std::size_t BettiServer::clamped_shards(const EstimatorOptions& options) const {
-  if (options.simulator != SimulatorKind::kShardedStatevector)
-    return options.simulator_shards;
-  const std::size_t share =
-      fair_thread_share(std::max<std::size_t>(1, active_executions_.load()));
-  const std::size_t requested = options.simulator_shards == 0
-                                    ? ThreadPool::shared().size()
-                                    : options.simulator_shards;
-  return std::max<std::size_t>(1, std::min(requested, share));
 }
 
 EstimateResponse BettiServer::execute_single(const EstimateRequest& request) {
@@ -382,8 +367,7 @@ EstimateResponse BettiServer::execute_single(const EstimateRequest& request) {
   response.id = request.id;
   try {
     const PointCloud cloud(request.points);
-    EstimatorOptions options = request.options;
-    options.simulator_shards = clamped_shards(options);
+    const EstimatorOptions& options = request.options;
     const ResolvedArtifacts artifacts =
         store_.resolve(cloud, request.epsilon, request.k, options);
     response.complex_hit = artifacts.complex_hit;
@@ -490,10 +474,8 @@ void BettiServer::execute_batch(std::vector<Pending> batch) {
   try {
     const EstimateRequest& head = live.front().request;
     const PointCloud cloud(head.points);
-    EstimatorOptions base = head.options;
-    base.simulator_shards = clamped_shards(base);
     const ResolvedArtifacts artifacts =
-        store_.resolve(cloud, head.epsilon, head.k, base);
+        store_.resolve(cloud, head.epsilon, head.k, head.options);
     if (artifacts.laplacian == nullptr || artifacts.plan == nullptr) {
       // Degenerate (empty complex) or non-plan fallback: serve serially.
       for (const Pending& pending : live) {
@@ -505,11 +487,8 @@ void BettiServer::execute_batch(std::vector<Pending> batch) {
     }
     std::vector<EstimatorOptions> request_options;
     request_options.reserve(live.size());
-    for (const Pending& pending : live) {
-      EstimatorOptions options = pending.request.options;
-      options.simulator_shards = base.simulator_shards;
-      request_options.push_back(options);
-    }
+    for (const Pending& pending : live)
+      request_options.push_back(pending.request.options);
     std::vector<BettiEstimate> estimates;
     {
       MutexLock lock(artifacts.plan->exec_mutex);

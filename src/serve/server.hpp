@@ -15,16 +15,13 @@
 ///   back to the connections (responses carry request ids; ordering across
 ///   requests is not guaranteed, by design).
 ///
-/// Fairness and shutdown: per-request shard counts are clamped by
-/// fair_thread_share over the number of concurrently executing requests, so
-/// one huge register cannot monopolize the shared pool (shard count never
-/// changes results).  Deadlines bound queue time *and* execution: a request
-/// that expires before execution starts is answered with a `deadline` error
-/// instead of occupying a worker, and an executing request whose deadline
-/// passes is cancelled at the next cooperative checkpoint (see
-/// common/cancel.hpp).  stop() is graceful: admission closes, everything
-/// already admitted executes, the completion queue drains, then threads
-/// join.
+/// Deadlines and shutdown: deadlines bound queue time *and* execution — a
+/// request that expires before execution starts is answered with a
+/// `deadline` error instead of occupying a worker, and an executing request
+/// whose deadline passes is cancelled at the next cooperative checkpoint
+/// (see common/cancel.hpp).  stop() is graceful: admission closes,
+/// everything already admitted executes, the completion queue drains, then
+/// threads join.
 ///
 /// Self-protection: the admission queue is bounded (max_queue) — requests
 /// past the bound are *shed* with a retryable `overloaded` error carrying a
@@ -151,7 +148,6 @@ class BettiServer {
   static std::string batch_key_of(const EstimateRequest& request);
   EstimateResponse execute_single(const EstimateRequest& request);
   void execute_batch(std::vector<Pending> batch);
-  std::size_t clamped_shards(const EstimatorOptions& options) const;
   std::string stats_line() const;
   std::string metrics_json_line() const;
   std::string metrics_prometheus_text() const;
@@ -185,7 +181,6 @@ class BettiServer {
   Mutex stop_mutex_;
   CondVar stop_requested_;
 
-  std::atomic<std::size_t> active_executions_{0};
   std::atomic<std::size_t> admitted_{0};
   std::atomic<std::size_t> completed_{0};
   std::atomic<std::size_t> errors_{0};

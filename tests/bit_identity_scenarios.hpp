@@ -5,9 +5,8 @@
 /// Each scenario runs a fixed circuit/plan/operator workload through one of
 /// the engines and fingerprints the resulting amplitudes (FNV-1a over the
 /// raw IEEE-754 bytes).  The committed expectations in test_bit_identity.cpp
-/// were captured from the tree *before* the SIMD/precision refactor, so the
-/// scalar (`QTDA_SIMD=0`) double-precision paths are pinned, bit for bit, to
-/// the historical arithmetic — the contract the CI scalar leg asserts.
+/// pin the scalar (`QTDA_SIMD=0`) double-precision arithmetic bit for bit,
+/// and every SIMD level must reproduce it.
 ///
 /// Scenarios only use public engine APIs and avoid every source of
 /// nondeterminism except seeded Rng streams.
@@ -25,7 +24,6 @@
 #include "quantum/compiler.hpp"
 #include "quantum/density_matrix.hpp"
 #include "quantum/noise.hpp"
-#include "quantum/sharded_statevector.hpp"
 #include "quantum/statevector.hpp"
 
 namespace qtda {
@@ -87,6 +85,34 @@ inline SparseMatrix bit_identity_laplacian(std::size_t dim) {
   return SparseMatrix::from_triplets(dim, dim, std::move(triplets));
 }
 
+/// A symmetric, diagonally dominant 32×32 matrix with uneven rows: row 0 is
+/// a hub with 13 nonzeros, rows 17 and 18 hold only their diagonal, and the
+/// others carry 2, 3, 6 or 7.  Gershgorin puts its spectrum inside
+/// [0.3, 4.3], so Chebyshev bounds [0, 5] hold it with c = 2.5 and
+/// 1/h = 0.4 — neither a power of two, so regrouping the recurrence's
+/// products changes the rounding.
+inline SparseMatrix bit_identity_uneven_matrix() {
+  constexpr std::size_t kDim = 32;
+  std::vector<Triplet> triplets;
+  std::vector<double> diagonal(kDim, 0.0);
+  const auto edge = [&](std::size_t i, std::size_t j) {
+    const double w = 0.1 + 0.01 * static_cast<double>((i + j) % 7);
+    triplets.push_back({i, j, -w});
+    triplets.push_back({j, i, -w});
+    diagonal[i] += w;
+    diagonal[j] += w;
+  };
+  for (std::size_t j = 1; j <= 12; ++j) edge(0, j);      // hub
+  for (std::size_t i = 13; i < 16; ++i) edge(i, i + 1);  // path 13–16
+  for (std::size_t j = 20; j <= 25; ++j) edge(19, j);    // fan around 19
+  for (std::size_t i = 26; i < kDim; ++i)                // 6-clique
+    for (std::size_t j = i + 1; j < kDim; ++j) edge(i, j);
+  for (std::size_t i = 0; i < kDim; ++i)
+    triplets.push_back(
+        {i, i, diagonal[i] + 0.3 + 0.05 * static_cast<double>(i % 3)});
+  return SparseMatrix::from_triplets(kDim, kDim, std::move(triplets));
+}
+
 struct BitIdentityFingerprint {
   std::string name;
   std::uint64_t hash;
@@ -124,24 +150,6 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
     out.push_back(
         {"dense_plan_unfused", fingerprint_amplitudes(psi.amplitudes())});
   }
-  {  // Sharded engine (3 slabs), gate-by-gate walk.
-    ShardedStatevector psi(10, 3);
-    psi.set_basis_state(3);
-    psi.apply_circuit(c10);
-    out.push_back(
-        {"sharded_circuit", fingerprint_amplitudes(psi.amplitudes())});
-    out.push_back(
-        {"sharded_marginal",
-         fingerprint_doubles(psi.marginal_probabilities({0, 3, 5, 9}))});
-  }
-  {  // Sharded backend, fused plan with native diagonal execution.
-    ShardedStatevectorBackend backend(10, 3);
-    backend.prepare_basis_state(3);
-    backend.apply_plan(compile_circuit(c10, CompilerOptions{}));
-    out.push_back(
-        {"sharded_plan_fused",
-         fingerprint_amplitudes(backend.state().amplitudes())});
-  }
   {  // Exact density-matrix channel evolution.
     DensityMatrix rho(5);
     rho.apply_circuit_with_noise(bit_identity_circuit(5),
@@ -171,6 +179,16 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
     psi.apply_operator(op, {2, 3, 5, 6, 7}, {0});
     out.push_back(
         {"dense_operator", fingerprint_amplitudes(psi.amplitudes())});
+  }
+  {  // The same oracle walk on uneven rows with non-power-of-two c and 1/h.
+    Statevector psi(8);
+    psi.set_basis_state(1);
+    psi.apply_circuit(bit_identity_circuit(8));
+    const SparseExpOperator op(bit_identity_uneven_matrix(), 0.9, 0.0, 5.0);
+    psi.apply_operator(op, {3, 4, 5, 6, 7});
+    psi.apply_operator(op, {2, 3, 5, 6, 7}, {0});
+    out.push_back(
+        {"dense_operator_uneven", fingerprint_amplitudes(psi.amplitudes())});
   }
   {  // Large state (2^18 amplitudes): crosses the parallel-threshold branch
      // of the dense kernels.

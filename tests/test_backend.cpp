@@ -47,8 +47,8 @@ double max_amp_diff(const Statevector& a, const Statevector& b) {
 
 TEST(SimulatorBackend, FactoryBuildsStatevector) {
   // This test pins the factory's *default* mapping, so neutralize (and
-  // afterwards restore) the CI override that forces every factory call onto
-  // the sharded engine.
+  // afterwards restore) a QTDA_SIMULATOR override that would force every
+  // factory call onto another engine.
   const testing::ScopedSimulatorEnv restore_after;
   testing::ScopedSimulatorEnv::clear();
   const auto backend = make_simulator(SimulatorKind::kStatevector, 3);
@@ -217,17 +217,16 @@ TEST(SimulatorBackend, MalformedEnvOverridesNameTheVariable) {
         << e.what();
     EXPECT_NE(std::string(e.what()).find("statevector"), std::string::npos);
   }
-  testing::ScopedSimulatorEnv::clear();
-  for (const char* bad : {"abc", "3x", "", "-2", "0"}) {
-    if (*bad == '\0') continue;  // empty means "unset" by contract
-    setenv("QTDA_SHARDS", bad, 1);
-    try {
-      make_simulator(SimulatorKind::kShardedStatevector, 3);
-      FAIL() << "expected QTDA_SHARDS=" << bad << " to throw";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("QTDA_SHARDS"), std::string::npos)
-          << e.what();
-    }
+}
+
+TEST(SimulatorBackend, UnknownNameListsTheValidOnes) {
+  try {
+    simulator_kind_from_name("qpu");
+    FAIL() << "expected an Error for an unknown simulator name";
+  } catch (const Error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("statevector"), std::string::npos) << message;
+    EXPECT_NE(message.find("density-matrix"), std::string::npos) << message;
   }
 }
 

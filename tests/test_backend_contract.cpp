@@ -46,13 +46,13 @@ Circuit named_gate_circuit() {
 
 class BackendContract : public ::testing::TestWithParam<SimulatorKind> {
  protected:
-  // The member guard saves the incoming QTDA_SIMULATOR/QTDA_SHARDS values
-  // before the body clears them: this suite pins *which* engine it builds,
-  // so the CI overrides must not redirect the factory here.
+  // The member guard saves the incoming QTDA_SIMULATOR value before the
+  // body clears it: this suite pins *which* engine it builds, so the CI
+  // overrides must not redirect the factory here.
   BackendContract() { testing::ScopedSimulatorEnv::clear(); }
 
   std::unique_ptr<SimulatorBackend> make(std::size_t num_qubits) const {
-    return make_simulator(GetParam(), num_qubits, /*shards=*/2);
+    return make_simulator(GetParam(), num_qubits);
   }
 
   // The float32 CI leg routes this whole suite through the narrow engines
@@ -233,7 +233,6 @@ TEST_P(BackendContract, NoisyCircuitMatchesChannelSemantics) {
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, BackendContract,
     ::testing::Values(SimulatorKind::kStatevector,
-                      SimulatorKind::kShardedStatevector,
                       SimulatorKind::kDensityMatrix),
     [](const ::testing::TestParamInfo<SimulatorKind>& param) {
       std::string name = simulator_kind_name(param.param);

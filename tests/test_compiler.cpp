@@ -71,10 +71,7 @@ Circuit random_circuit(std::size_t num_qubits, std::size_t num_gates,
 }
 
 std::vector<Amplitude> backend_amplitudes(const SimulatorBackend& backend) {
-  if (const auto* sv = dynamic_cast<const StatevectorBackend*>(&backend))
-    return sv->state().amplitudes();
-  const auto* sh = dynamic_cast<const ShardedStatevectorBackend*>(&backend);
-  return sh->state().amplitudes();
+  return dynamic_cast<const StatevectorBackend&>(backend).state().amplitudes();
 }
 
 /// Direct backend construction (not make_simulator): these tests pin the
@@ -84,8 +81,6 @@ std::unique_ptr<SimulatorBackend> build_backend(SimulatorKind kind,
   switch (kind) {
     case SimulatorKind::kStatevector:
       return std::make_unique<StatevectorBackend>(num_qubits);
-    case SimulatorKind::kShardedStatevector:
-      return std::make_unique<ShardedStatevectorBackend>(num_qubits, 3);
     case SimulatorKind::kDensityMatrix:
       return std::make_unique<DensityMatrixBackend>(num_qubits);
   }
@@ -165,7 +160,6 @@ TEST_P(FusionEquivalence, UnfusedPlanIsBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FusionEquivalence,
                          ::testing::Values(SimulatorKind::kStatevector,
-                                           SimulatorKind::kShardedStatevector,
                                            SimulatorKind::kDensityMatrix),
                          [](const auto& param_info) {
                            std::string name =
@@ -215,8 +209,7 @@ TEST(Compiler, BackendNoisyPlanMatchesCircuitWalk) {
   const ExecutionPlan plan = compile_circuit(circuit, options);
 
   for (SimulatorKind kind :
-       {SimulatorKind::kStatevector, SimulatorKind::kShardedStatevector,
-        SimulatorKind::kDensityMatrix}) {
+       {SimulatorKind::kStatevector, SimulatorKind::kDensityMatrix}) {
     const auto reference = build_backend(kind, 4);
     const auto compiled = build_backend(kind, 4);
     Rng ref_rng(21);

@@ -26,48 +26,6 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
   SUCCEED();
 }
 
-TEST(ThreadPoolRunBatch, VisitsEveryIndexOnceWithBarrier) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> visits(64);
-  pool.run_batch(64, [&](std::size_t i) { ++visits[i]; });
-  // run_batch blocks until every slab task finished, so the counts are
-  // final here without wait_idle().
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ThreadPoolRunBatch, EmptyBatchIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.run_batch(0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPoolRunBatch, PropagatesTheFirstException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.run_batch(16,
-                     [](std::size_t i) {
-                       if (i % 3 == 0) throw Error("slab task failed");
-                     }),
-      Error);
-  pool.wait_idle();  // the pool must stay usable after the failure
-  std::atomic<int> counter{0};
-  pool.run_batch(8, [&](std::size_t) { ++counter; });
-  EXPECT_EQ(counter.load(), 8);
-}
-
-TEST(ThreadPoolRunBatch, NestedCallDegradesToSerialInsteadOfDeadlocking) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&] {
-    // From inside a pool worker the barrier would wait on tasks only other
-    // (possibly blocked) workers can run; it must run serially instead.
-    pool.run_batch(32, [&](std::size_t) { ++counter; });
-  });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 32);
-}
-
 TEST(ParallelFor, VisitsEveryIndexOnce) {
   const std::size_t n = 100000;
   std::vector<std::atomic<int>> visits(n);

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
+#include "scoped_env.hpp"
 
 namespace qtda {
 namespace {
@@ -36,24 +38,34 @@ TEST(Pipeline, CircleFeaturesDetectTheLoop) {
   EXPECT_NEAR(features.estimated[1], 1.0, 0.35);
 }
 
-TEST(Pipeline, ShardedSimulatorSelectionFlowsThroughAndMatchesDense) {
-  // Shard-count plumbing: PipelineOptions::estimator carries the engine and
-  // slab count down to the factory, and the sharded run is bit-identical to
-  // the dense one feature for feature.
+TEST(Pipeline, SimulatorSelectionReachesTheFactory) {
+  // PipelineOptions::estimator carries the engine choice down to
+  // make_simulator: the density-matrix run samples the same noiseless
+  // distribution as the default statevector run, and a register past the
+  // density matrix's 13-qubit cap fails with the factory's width guard.
+  const testing::ScopedSimulatorEnv restore_after;
+  testing::ScopedSimulatorEnv::clear();
   PipelineOptions options;
   options.epsilon = 0.7;
   options.dimensions = {0, 1};
   options.estimator.backend = EstimatorBackend::kCircuitSparse;
-  options.estimator.precision_qubits = 4;
+  options.estimator.precision_qubits = 3;
   options.estimator.shots = 5000;
   const auto dense = extract_betti_features(circle_cloud(8), options);
-  options.estimator.simulator = SimulatorKind::kShardedStatevector;
-  options.estimator.simulator_shards = 3;
-  const auto sharded = extract_betti_features(circle_cloud(8), options);
-  ASSERT_EQ(sharded.estimated.size(), dense.estimated.size());
+  options.estimator.simulator = SimulatorKind::kDensityMatrix;
+  const auto exact_channels = extract_betti_features(circle_cloud(8), options);
+  ASSERT_EQ(exact_channels.estimated.size(), dense.estimated.size());
   for (std::size_t i = 0; i < dense.estimated.size(); ++i) {
-    EXPECT_DOUBLE_EQ(sharded.estimated[i], dense.estimated[i]);
-    EXPECT_EQ(sharded.exact[i], dense.exact[i]);
+    EXPECT_NEAR(exact_channels.estimated[i], dense.estimated[i], 0.05);
+    EXPECT_EQ(exact_channels.exact[i], dense.exact[i]);
+  }
+  options.estimator.precision_qubits = 8;  // 8 + 3 + 3 = 14 qubits
+  try {
+    extract_betti_features(circle_cloud(8), options);
+    FAIL() << "expected the density-matrix width guard to throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("density-matrix"), std::string::npos)
+        << e.what();
   }
 }
 

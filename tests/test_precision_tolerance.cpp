@@ -53,7 +53,7 @@ Circuit readout_circuit(const QpeLayout& layout) {
 std::vector<double> readout(SimulatorKind kind, Precision precision,
                             const QpeLayout& layout, const Circuit& circuit) {
   const std::unique_ptr<SimulatorBackend> backend =
-      make_simulator(kind, layout.total(), 3, precision);
+      make_simulator(kind, layout.total(), precision);
   EXPECT_EQ(backend->precision(), precision);
   backend->apply_circuit(circuit);
   return backend->marginal_probabilities(layout.precision_wires());
@@ -107,7 +107,6 @@ TEST_P(PrecisionReadout, Complex64ReadoutErrorIsBounded) {
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, PrecisionReadout,
     ::testing::Values(SimulatorKind::kStatevector,
-                      SimulatorKind::kShardedStatevector,
                       SimulatorKind::kDensityMatrix),
     [](const ::testing::TestParamInfo<SimulatorKind>& param_info) {
       std::string name = simulator_kind_name(param_info.param);
@@ -121,10 +120,9 @@ TEST(PrecisionDispatch, FactoryHonorsTheRequestedPrecision) {
   ScopedSimulatorEnv::clear();
   unsetenv("QTDA_PRECISION");
   for (SimulatorKind kind :
-       {SimulatorKind::kStatevector, SimulatorKind::kShardedStatevector,
-        SimulatorKind::kDensityMatrix}) {
+       {SimulatorKind::kStatevector, SimulatorKind::kDensityMatrix}) {
     EXPECT_EQ(make_simulator(kind, 4)->precision(), Precision::kFloat64);
-    EXPECT_EQ(make_simulator(kind, 4, 0, Precision::kFloat32)->precision(),
+    EXPECT_EQ(make_simulator(kind, 4, Precision::kFloat32)->precision(),
               Precision::kFloat32);
   }
 }
@@ -136,10 +134,10 @@ TEST(PrecisionDispatch, EnvOverrideWinsOverTheRequestedPrecision) {
   EXPECT_EQ(make_simulator(SimulatorKind::kStatevector, 3)->precision(),
             Precision::kFloat32);
   setenv("QTDA_PRECISION", "float64", 1);
-  EXPECT_EQ(make_simulator(SimulatorKind::kStatevector, 3, 0,
-                           Precision::kFloat32)
-                ->precision(),
-            Precision::kFloat64);
+  EXPECT_EQ(
+      make_simulator(SimulatorKind::kStatevector, 3, Precision::kFloat32)
+          ->precision(),
+      Precision::kFloat64);
 }
 
 TEST(PrecisionDispatch, MalformedEnvValuesFailFastNamingTheVariable) {
@@ -171,10 +169,9 @@ TEST(PrecisionDispatch, Float32EnginesKeepTheBackendInvariants) {
   ScopedSimulatorEnv::clear();
   unsetenv("QTDA_PRECISION");
   for (SimulatorKind kind :
-       {SimulatorKind::kStatevector, SimulatorKind::kShardedStatevector,
-        SimulatorKind::kDensityMatrix}) {
+       {SimulatorKind::kStatevector, SimulatorKind::kDensityMatrix}) {
     const std::unique_ptr<SimulatorBackend> backend =
-        make_simulator(kind, 3, 2, Precision::kFloat32);
+        make_simulator(kind, 3, Precision::kFloat32);
     Circuit circuit(3);
     circuit.h(0);
     circuit.cnot(0, 1);

@@ -195,6 +195,14 @@ TEST(Statevector, MarginalProbabilities) {
   EXPECT_NEAR(m02[0b11], 0.5, 1e-12);
 }
 
+TEST(Statevector, MarginalValidatesAllQubitsBeforeBuildingMasks) {
+  // An out-of-range wire anywhere in the list must throw before any mask
+  // shift is computed (the shift itself would be UB).
+  Statevector s(3);
+  EXPECT_THROW(s.marginal_probabilities({0, 99}), Error);
+  EXPECT_THROW(s.marginal_probabilities({99, 0}), Error);
+}
+
 TEST(Statevector, SampleCountsConcentrateOnSupport) {
   Statevector s(2);
   s.apply_single_qubit(gates::H(), 0);

@@ -112,9 +112,12 @@ TEST(TelemetryCounter, ConcurrentHammerLosesNothing) {
   counter.reset();
   constexpr std::size_t kTasks = 64;
   constexpr std::size_t kAddsPerTask = 10000;
-  ThreadPool::shared().run_batch(kTasks, [&](std::size_t) {
-    for (std::size_t i = 0; i < kAddsPerTask; ++i) counter.add();
-  });
+  parallel_for(
+      0, kTasks,
+      [&](std::size_t) {
+        for (std::size_t i = 0; i < kAddsPerTask; ++i) counter.add();
+      },
+      /*min_parallel_size=*/1);
   EXPECT_EQ(counter.value(), kTasks * kAddsPerTask);
   counter.reset();
   EXPECT_EQ(counter.value(), 0u);
