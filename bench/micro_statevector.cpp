@@ -4,15 +4,19 @@
 /// BM_GateSweepDense/q and BM_OperatorOracleDense/q run one QPE-shaped gate
 /// sweep and one controlled Chebyshev oracle through the statevector
 /// backend: the reference marks for parallelizing the engine's gate
-/// kernels.
+/// kernels.  BM_PurificationPrep/n runs the estimator's purification prep
+/// and precision Hadamards as a compiled plan at the perfbench register
+/// sizes, the single-qubit layer of every purified estimate.
 #include <benchmark/benchmark.h>
 
 #include "common/random.hpp"
 #include "linalg/expm_multiply.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "quantum/backend.hpp"
+#include "quantum/compiler.hpp"
 #include "quantum/executor.hpp"
 #include "quantum/gates.hpp"
+#include "quantum/mixed_state.hpp"
 #include "quantum/statevector.hpp"
 
 namespace {
@@ -71,6 +75,33 @@ void BM_OperatorOracleDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OperatorOracleDense)->DenseRange(12, 14, 2);
+
+/// The purified estimator's register, t + q system + q ancilla wires at
+/// t = 3: H and CNOT onto its system partner for each ancilla (controls on
+/// bits 0 to q − 1), then H on the three precision wires.
+void BM_PurificationPrep(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kPrecision = 3;
+  const std::size_t q = (n - kPrecision) / 2;
+  Circuit circuit(n);
+  std::vector<std::size_t> systems, ancillas;
+  for (std::size_t i = 0; i < q; ++i) {
+    systems.push_back(kPrecision + i);
+    ancillas.push_back(kPrecision + q + i);
+  }
+  append_mixed_state_preparation(circuit, ancillas, systems);
+  for (std::size_t w = 0; w < kPrecision; ++w) circuit.h(w);
+  const ExecutionPlan plan = compile_circuit(circuit, CompilerOptions{});
+  Statevector sv(n);
+  for (auto _ : state) {
+    sv.apply_plan(plan);
+    benchmark::DoNotOptimize(sv.amplitudes().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(plan.ops().size()) *
+                          static_cast<std::int64_t>(1ULL << n));
+}
+BENCHMARK(BM_PurificationPrep)->DenseRange(15, 19, 2);
 
 void BM_HadamardGate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -80,20 +80,36 @@ inline bool targets_are_trailing(const std::vector<std::size_t>& targets,
   return true;
 }
 
-/// Base indices of the blocks an operator acts on: every setting of the
-/// non-target bits whose control bits are all one, enumerated in increasing
-/// order (the gate walk and the plan path must walk blocks identically).
+/// The subset-increment step: advances \p sub to the next larger subset of
+/// \p free_mask's bits (the carry runs through the bits outside it); false
+/// once every subset has been visited.
+inline bool next_subset(std::uint64_t& sub, std::uint64_t free_mask) {
+  sub = ((sub | ~free_mask) + 1) & free_mask;
+  return sub != 0;
+}
+
+/// Calls f(base) for every block base: every setting of the non-target
+/// bits whose control bits are all one, in increasing order, so a
+/// controlled gate costs only the blocks it changes.  The single-qubit,
+/// block and operator kernels all walk their blocks this way, and the gate
+/// walk and the plan path must walk blocks identically.
+template <typename F>
+inline void for_each_block_base(std::uint64_t dim, std::uint64_t tmask,
+                                std::uint64_t cmask, F&& f) {
+  const std::uint64_t free_mask = (dim - 1) & ~tmask & ~cmask;
+  std::uint64_t sub = 0;
+  do {
+    f(sub | cmask);
+  } while (next_subset(sub, free_mask));
+}
+
+/// The bases of for_each_block_base as a list (an operator plan keeps it).
 inline std::vector<std::uint64_t> enumerate_block_bases(std::uint64_t dim,
                                                         std::uint64_t tmask,
                                                         std::uint64_t cmask) {
-  const std::uint64_t free_mask = (dim - 1) & ~tmask & ~cmask;
   std::vector<std::uint64_t> bases;
-  std::uint64_t sub = 0;
-  do {
-    bases.push_back(sub | cmask);
-    sub = (sub | ~free_mask) + 1;
-    sub &= free_mask;
-  } while (sub != 0);
+  for_each_block_base(dim, tmask, cmask,
+                      [&](std::uint64_t base) { bases.push_back(base); });
   return bases;
 }
 

@@ -215,6 +215,94 @@ QTDA_TARGET_AVX2 void pair_sweep_avx2_ps(std::complex<float>* p0,
 }
 
 // ---------------------------------------------------------------------------
+// Bit-0/1 pair sweep (single-qubit gate whose target or lowest control is
+// bit 0 or 1).  A zmm holds the aligned group of four amplitudes whose
+// indices differ in bits 0–1; the group walk fixes the controls above bit 1
+// and skips the target bit when it lies above bit 1.
+// ---------------------------------------------------------------------------
+
+// The group walks below step with next_subset directly: a lambda handed
+// to for_each_block_base would not inherit the AVX-512 target attribute.
+
+/// The group body for a target on bit 0 or 1: the partner of lane j is lane
+/// j ^ mask, which the 128-bit-lane shuffle \p kPartner brings in.  Lanes
+/// with the target bit clear compute u00·a + u01·partner, lanes with it set
+/// u11·a + u10·partner — the scalar u10·a0 + u11·a1 with its one addition
+/// commuted, which IEEE addition makes bitwise identical.
+template <int kPartner>
+QTDA_TARGET_AVX512 void bit01_in_group_avx512_pd(
+    double* d, std::uint64_t free_mask, std::uint64_t high_controls,
+    __m512d same, __m512d other, __mmask8 store) {
+  std::uint64_t sub = 0;
+  do {
+    double* group = d + 2 * (sub | high_controls);
+    const __m512d a = _mm512_loadu_pd(group);
+    const __m512d partner = _mm512_shuffle_f64x2(a, a, kPartner);
+    _mm512_mask_storeu_pd(
+        group, store,
+        _mm512_add_pd(cmul512_pd(same, a), cmul512_pd(other, partner)));
+  } while (next_subset(sub, free_mask));
+}
+
+QTDA_TARGET_AVX512 void bit01_pair_sweep_avx512_pd(
+    std::complex<double>* amp, std::uint64_t dim, std::uint64_t mask,
+    std::uint64_t cmask, const std::complex<double>* u) {
+  double* d = reinterpret_cast<double*>(amp);
+  // Store the lanes (two doubles each) whose bit-0/1 controls hold; the
+  // group walk fixes the controls above bit 1 and skips a target above it.
+  const std::uint64_t low_controls = cmask & 3;
+  unsigned store = 0;
+  for (unsigned j = 0; j < 4; ++j)
+    if ((j & low_controls) == low_controls) store |= 3u << (2 * j);
+  const auto store_mask = static_cast<__mmask8>(store);
+  const std::uint64_t high_controls = cmask & ~std::uint64_t{3};
+  const std::uint64_t free_mask = (dim - 1) & ~(mask | 3) & ~cmask;
+
+  if (mask > 3) {
+    // Partners in different groups: the pair sweep on whole groups.
+    const __m512d u00 = broadcast512_cd(u + 0);
+    const __m512d u01 = broadcast512_cd(u + 1);
+    const __m512d u10 = broadcast512_cd(u + 2);
+    const __m512d u11 = broadcast512_cd(u + 3);
+    std::uint64_t sub = 0;
+    do {
+      const std::uint64_t base = sub | high_controls;
+      double* d0 = d + 2 * base;
+      double* d1 = d + 2 * (base | mask);
+      const __m512d a0 = _mm512_loadu_pd(d0);
+      const __m512d a1 = _mm512_loadu_pd(d1);
+      _mm512_mask_storeu_pd(
+          d0, store_mask,
+          _mm512_add_pd(cmul512_pd(u00, a0), cmul512_pd(u01, a1)));
+      _mm512_mask_storeu_pd(
+          d1, store_mask,
+          _mm512_add_pd(cmul512_pd(u10, a0), cmul512_pd(u11, a1)));
+    } while (next_subset(sub, free_mask));
+    return;
+  }
+
+  // Per-lane coefficients: lane j multiplies itself by u00 (target bit
+  // clear) or u11 (set), and its partner by u01 or u10.
+  std::complex<double> same[4];
+  std::complex<double> other[4];
+  for (unsigned j = 0; j < 4; ++j) {
+    const bool set = (j & mask) != 0;
+    same[j] = set ? u[3] : u[0];
+    other[j] = set ? u[2] : u[1];
+  }
+  const __m512d same_v = _mm512_loadu_pd(reinterpret_cast<const double*>(same));
+  const __m512d other_v =
+      _mm512_loadu_pd(reinterpret_cast<const double*>(other));
+  // Lane order (1, 0, 3, 2) swaps bit-0 partners, (2, 3, 0, 1) bit-1 ones.
+  if (mask == 1)
+    bit01_in_group_avx512_pd<0xB1>(d, free_mask, high_controls, same_v,
+                                   other_v, store_mask);
+  else
+    bit01_in_group_avx512_pd<0x4E>(d, free_mask, high_controls, same_v,
+                                   other_v, store_mask);
+}
+
+// ---------------------------------------------------------------------------
 // Four-point sweep (uncontrolled two-qubit gate over contiguous runs).
 // ---------------------------------------------------------------------------
 
@@ -967,6 +1055,13 @@ void pair_sweep_vec(SimdLevel level, std::complex<float>* p0,
   pair_sweep_avx2_ps(p0, p1, n, u);
 }
 
+void bit01_pair_sweep_vec(SimdLevel level, std::complex<double>* amp,
+                          std::uint64_t dim, std::uint64_t mask,
+                          std::uint64_t cmask, const std::complex<double>* u) {
+  (void)level;  // only AVX-512 reaches here (see bit01_pair_sweep)
+  bit01_pair_sweep_avx512_pd(amp, dim, mask, cmask, u);
+}
+
 void four_point_sweep_vec(SimdLevel level, std::complex<double>* p0,
                           std::complex<double>* p1, std::complex<double>* p2,
                           std::complex<double>* p3, std::uint64_t n,
@@ -1111,6 +1206,12 @@ void pair_sweep_vec(SimdLevel, std::complex<double>* p0,
 void pair_sweep_vec(SimdLevel, std::complex<float>* p0, std::complex<float>* p1,
                     std::uint64_t n, const std::complex<float>* u) {
   pair_sweep(SimdLevel::kScalar, p0, p1, n, u);
+}
+
+void bit01_pair_sweep_vec(SimdLevel, std::complex<double>* amp,
+                          std::uint64_t dim, std::uint64_t mask,
+                          std::uint64_t cmask, const std::complex<double>* u) {
+  bit01_pair_sweep(SimdLevel::kScalar, amp, dim, mask, cmask, u);
 }
 
 void four_point_sweep_vec(SimdLevel, std::complex<double>* p0,

@@ -2,12 +2,14 @@
 /// \brief Runtime-dispatched SIMD kernels for the hot simulation loops.
 ///
 /// The contiguous pair and four-point sweeps (single- and two-qubit gates),
-/// the diagonal table-lookup pass (fused diagonals), the fused dense-block
-/// apply (block matvec) and the two halves of the blocked Chebyshev oracle
-/// (the CSR product over a block of right-hand sides and the recurrence's
-/// elementwise step) dominate every profile.  Each gets explicit AVX2 and
-/// (where it pays) AVX-512 bodies in simd_kernels.cpp, selected at runtime
-/// through common/cpu_features.hpp — one binary, widest safe path.
+/// the bit-0/1 pair sweep (single-qubit gates whose pairs run shorter than
+/// a vector), the diagonal table-lookup pass (fused diagonals), the fused
+/// dense-block apply (block matvec) and the two halves of the blocked
+/// Chebyshev oracle (the CSR product over a block of right-hand sides and
+/// the recurrence's elementwise step) dominate every profile.  Each gets
+/// explicit AVX2 and (where it pays) AVX-512 bodies in simd_kernels.cpp,
+/// selected at runtime through common/cpu_features.hpp — one binary, widest
+/// safe path.
 ///
 /// **Bit-identity contract.**  The scalar branches below are the historical
 /// loops, compiled in the caller's TU with the default (baseline x86-64, no
@@ -24,6 +26,7 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/cpu_features.hpp"
 #include "quantum/register_layout.hpp"
@@ -40,6 +43,9 @@ void pair_sweep_vec(SimdLevel level, std::complex<double>* p0,
 void pair_sweep_vec(SimdLevel level, std::complex<float>* p0,
                     std::complex<float>* p1, std::uint64_t n,
                     const std::complex<float>* u);
+void bit01_pair_sweep_vec(SimdLevel level, std::complex<double>* amp,
+                          std::uint64_t dim, std::uint64_t mask,
+                          std::uint64_t cmask, const std::complex<double>* u);
 void four_point_sweep_vec(SimdLevel level, std::complex<double>* p0,
                           std::complex<double>* p1, std::complex<double>* p2,
                           std::complex<double>* p3, std::uint64_t n,
@@ -110,6 +116,38 @@ inline void pair_sweep(SimdLevel level, std::complex<R>* p0,
     return;
   }
   detail::pair_sweep_vec(level, p0, p1, n, u);
+}
+
+/// Single-qubit update of the register amp[0..dim): every pair
+/// (i, i | mask) with the mask bit of i clear and all of cmask set gets the
+/// pair_sweep update, and no other amplitude is written.  It is meant for a
+/// target or lowest control on bit 0 or 1, whose control-satisfied pairs
+/// come in runs of one or two amplitudes.  AVX-512 double runs it over
+/// aligned groups of four amplitudes (a lane shuffle pairs bit-0/1 partners,
+/// a masked store applies bit-0/1 controls); every other level and the float
+/// rail walk the same groups with the scalar pair update, lane by lane.
+template <typename R>
+inline void bit01_pair_sweep(SimdLevel level, std::complex<R>* amp,
+                             std::uint64_t dim, std::uint64_t mask,
+                             std::uint64_t cmask, const std::complex<R>* u) {
+  if constexpr (std::is_same_v<R, double>) {
+    if (level == SimdLevel::kAvx512 && dim >= 4) {
+      detail::bit01_pair_sweep_vec(level, amp, dim, mask, cmask, u);
+      return;
+    }
+  }
+  // The vector body's walk over groups of four, one lane at a time: a
+  // subset step per group instead of per pair.
+  const std::uint64_t low_controls = cmask & 3;
+  const std::uint64_t lanes = dim < 4 ? dim : 4;
+  for_each_block_base(dim, mask | 3, cmask & ~std::uint64_t{3},
+                      [&](std::uint64_t base) {
+    for (std::uint64_t j = 0; j < lanes; ++j) {
+      if ((j & mask) != 0 || (j & low_controls) != low_controls) continue;
+      std::complex<R>* p0 = amp + base + j;
+      pair_sweep(SimdLevel::kScalar, p0, p0 + mask, 1, u);
+    }
+  });
 }
 
 /// In-place uncontrolled two-qubit update of the four contiguous runs

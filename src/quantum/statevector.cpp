@@ -20,10 +20,11 @@ namespace {
 /// than serial kernels).
 constexpr std::uint64_t kParallelThreshold = 1ULL << 17;
 
-/// Contiguous runs shorter than this stay on the scalar pair/four-point
-/// sweeps: a sub-vector-width run per dispatch call costs more than it
-/// saves.  Safe to mix freely with the vector paths — they are bitwise
-/// identical by construction.
+/// Contiguous runs shorter than this skip the per-run pair/four-point
+/// sweeps (the bit-0/1 sweep or the scalar loops take them): a
+/// sub-vector-width run per dispatch call costs more than it saves.  Safe to
+/// mix freely with the vector paths — they are bitwise identical by
+/// construction.
 constexpr std::uint64_t kMinSimdRun = 4;
 
 /// Reusable per-thread buffers for the non-plan entry points: apply_unitary
@@ -175,30 +176,22 @@ void BasicStatevector<Real>::single_qubit_kernel(C u00, C u01, C u10, C u11,
                                                  std::uint64_t cmask) {
   const std::uint64_t dim = dimension();
   C* amp = amplitudes_.data();
-
-  // Uncontrolled gates sweep disjoint contiguous pair runs — the top hot
-  // loop, dispatched to the vector kernels (bitwise identical to the scalar
-  // expressions below; see simd_kernels.hpp).
+  const C u[4] = {u00, u01, u10, u11};
   const SimdLevel level = active_simd_level();
-  if (level != SimdLevel::kScalar && cmask == 0 && mask >= kMinSimdRun) {
-    const C u[4] = {u00, u01, u10, u11};
-    for (std::uint64_t block = 0; block < dim; block += 2 * mask)
-      simd::pair_sweep(level, amp + block, amp + block + mask, mask, u);
+
+  // Only the control-satisfied pairs are visited.  They come in contiguous
+  // runs as long as the lowest target or control bit; each run goes to the
+  // pair sweep (every level is bitwise identical to the scalar update, see
+  // simd_kernels.hpp), and runs of one or two pairs to the bit-0/1 sweep.
+  const std::uint64_t touched = mask | cmask;
+  const std::uint64_t run = touched & (~touched + 1);
+  if (run < kMinSimdRun) {
+    simd::bit01_pair_sweep(level, amp, dim, mask, cmask, u);
     return;
   }
-
-  const auto body = [&](std::uint64_t i0) {
-    if ((i0 & cmask) != cmask) return;
-    const std::uint64_t i1 = i0 | mask;
-    const C a0 = amp[i0];
-    const C a1 = amp[i1];
-    amp[i0] = u00 * a0 + u01 * a1;
-    amp[i1] = u10 * a0 + u11 * a1;
-  };
-
-  for (std::uint64_t block = 0; block < dim; block += 2 * mask) {
-    for (std::uint64_t i = block; i < block + mask; ++i) body(i);
-  }
+  for_each_block_base(dim, mask | (run - 1), cmask, [&](std::uint64_t base) {
+    simd::pair_sweep(level, amp + base, amp + base + mask, run, u);
+  });
 }
 
 template <typename Real>
@@ -227,40 +220,20 @@ void BasicStatevector<Real>::block_kernel(
     const std::vector<std::uint64_t>& offset, std::vector<C>& scratch,
     std::vector<C>& scratch_out) {
   const std::uint64_t block = offset.size();
-  const std::uint64_t dim = dimension();
   C* amp = amplitudes_.data();
 
-  // Vector path: gather, row-vectorized matvec into the out buffer, scatter.
-  // Per-row accumulation order matches the scalar row-dot exactly (see
+  // Gather each control-satisfied block, multiply, scatter.  Per-row
+  // accumulation order matches the scalar row-dot at every level (see
   // simd_kernels.hpp), so mixing paths cannot change results.
   const SimdLevel level = active_simd_level();
-  if (level != SimdLevel::kScalar) {
-    scratch.resize(block);
-    scratch_out.resize(block);
-    for (std::uint64_t i = 0; i < dim; ++i) {
-      if ((i & tmask) == 0 && (i & cmask) == cmask) {
-        for (std::uint64_t l = 0; l < block; ++l)
-          scratch[l] = amp[i | offset[l]];
-        simd::block_matvec(level, u, scratch.data(), scratch_out.data(),
-                           block);
-        for (std::uint64_t r = 0; r < block; ++r)
-          amp[i | offset[r]] = scratch_out[r];
-      }
-    }
-    return;
-  }
-
   scratch.resize(block);
-  for (std::uint64_t i = 0; i < dim; ++i) {
-    if ((i & tmask) != 0 || (i & cmask) != cmask) continue;
+  scratch_out.resize(block);
+  for_each_block_base(dimension(), tmask, cmask, [&](std::uint64_t i) {
     for (std::uint64_t l = 0; l < block; ++l) scratch[l] = amp[i | offset[l]];
-    for (std::uint64_t r = 0; r < block; ++r) {
-      C acc{};
-      const C* urow = u + r * block;
-      for (std::uint64_t c = 0; c < block; ++c) acc += urow[c] * scratch[c];
-      amp[i | offset[r]] = acc;
-    }
-  }
+    simd::block_matvec(level, u, scratch.data(), scratch_out.data(), block);
+    for (std::uint64_t r = 0; r < block; ++r)
+      amp[i | offset[r]] = scratch_out[r];
+  });
 }
 
 template <typename Real>

@@ -136,11 +136,16 @@ void BettiServer::stop() {
       if (auto connection = weak.lock()) connection->close();
   }
   if (acceptor_thread_.joinable()) acceptor_thread_.join();
+  // Readers take threads_mutex_ to mark themselves finished, so join them
+  // outside it.  The acceptor is gone, so the list only shrinks from here;
+  // splice keeps every entry where its reader's reference points.
+  std::list<Reader> readers;
   {
     MutexLock lock(threads_mutex_);
-    for (std::thread& reader : reader_threads_)
-      if (reader.joinable()) reader.join();
+    readers.splice(readers.end(), readers_);
   }
+  for (Reader& reader : readers)
+    if (reader.thread.joinable()) reader.thread.join();
   for (std::thread& worker : worker_threads_)
     if (worker.joinable()) worker.join();
   // Workers are gone: no further completions can be produced, so the
@@ -154,14 +159,42 @@ void BettiServer::acceptor_loop(Transport* transport) {
   while (!stopping_.load()) {
     std::shared_ptr<Connection> connection = transport->accept();
     if (connection == nullptr) break;
+    reap_finished_readers();
     {
       MutexLock lock(connections_mutex_);
       connections_.push_back(connection);
     }
     MutexLock lock(threads_mutex_);
-    reader_threads_.emplace_back(
-        [this, connection] { reader_loop(connection); });
+    Reader& reader = readers_.emplace_back();
+    reader.thread = std::thread([this, connection, &reader] {
+      reader_loop(connection);
+      MutexLock done(threads_mutex_);
+      reader.finished = true;
+    });
   }
+}
+
+void BettiServer::reap_finished_readers() {
+  {
+    MutexLock lock(threads_mutex_);
+    // A finished reader has released threads_mutex_ and only returns, so
+    // the join waits for nothing but its exit.
+    for (auto it = readers_.begin(); it != readers_.end();) {
+      if (!it->finished) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = readers_.erase(it);
+    }
+  }
+  MutexLock lock(connections_mutex_);
+  connections_.erase(
+      std::remove_if(connections_.begin(), connections_.end(),
+                     [](const std::weak_ptr<Connection>& weak) {
+                       return weak.expired();
+                     }),
+      connections_.end());
 }
 
 void BettiServer::reader_loop(std::shared_ptr<Connection> connection) {

@@ -36,6 +36,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -135,8 +136,19 @@ class BettiServer {
                                                           ///< latency origin
   };
 
+  /// One connection's reader thread.  It sets \p finished under
+  /// threads_mutex_ as its last act, so the acceptor can join it.
+  struct Reader {
+    std::thread thread;
+    bool finished = false;
+  };
+
   void acceptor_loop(Transport* transport);
   void reader_loop(std::shared_ptr<Connection> connection);
+  /// Joins and drops the finished readers and the closed connections' slots,
+  /// so a long-running daemon holds one thread per open connection, not one
+  /// per connection it ever accepted.
+  void reap_finished_readers();
   void worker_loop();
   void completion_loop();
 
@@ -169,7 +181,8 @@ class BettiServer {
       QTDA_GUARDED_BY(connections_mutex_);
 
   Mutex threads_mutex_;
-  std::vector<std::thread> reader_threads_ QTDA_GUARDED_BY(threads_mutex_);
+  /// A list: each reader holds a reference to its own entry.
+  std::list<Reader> readers_ QTDA_GUARDED_BY(threads_mutex_);
   std::thread acceptor_thread_;
   std::vector<std::thread> worker_threads_;
   std::thread completion_thread_;

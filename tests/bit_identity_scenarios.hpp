@@ -12,6 +12,7 @@
 /// nondeterminism except seeded Rng streams.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -23,7 +24,9 @@
 #include "quantum/backend.hpp"
 #include "quantum/compiler.hpp"
 #include "quantum/density_matrix.hpp"
+#include "quantum/mixed_state.hpp"
 #include "quantum/noise.hpp"
+#include "quantum/qft.hpp"
 #include "quantum/statevector.hpp"
 
 namespace qtda {
@@ -69,6 +72,57 @@ inline Circuit bit_identity_circuit(std::size_t n) {
   c.cnot(n - 2, n - 1);
   c.phase(0, 0.25);
   c.swap(1, n - 2);
+  return c;
+}
+
+/// e^{iγ}·Rz(α)·Ry(β)·Rz(δ) at general angles: all four entries have
+/// nonzero real and imaginary parts, so every product term of a complex
+/// multiply is live and a fused multiply-add anywhere changes the rounding
+/// (H and X, with real 0/±1 entries, cannot show it).
+inline ComplexMatrix general_rotation(double alpha, double beta, double delta,
+                                      double gamma) {
+  const auto phase = [](double angle) {
+    return Amplitude(std::cos(angle), std::sin(angle));
+  };
+  const double c = std::cos(beta / 2.0);
+  const double s = std::sin(beta / 2.0);
+  ComplexMatrix u(2, 2);
+  u(0, 0) = phase(gamma - (alpha + delta) / 2.0) * c;
+  u(0, 1) = -phase(gamma - (alpha - delta) / 2.0) * s;
+  u(1, 0) = phase(gamma + (alpha - delta) / 2.0) * s;
+  u(1, 1) = phase(gamma + (alpha + delta) / 2.0) * c;
+  return u;
+}
+
+/// The estimator's purified QPE shape on t = 3 precision, q = 5 system and
+/// q = 5 ancilla wires (13 qubits): the purification prep (H on each
+/// ancilla, CNOT onto its system partner, so the controls sit on bits 0–4),
+/// the precision Hadamards, general-angle controlled rotations with targets
+/// and controls on bits 0 and 1, controlled phases standing in for the
+/// oracle, and the inverse QFT.
+inline Circuit purified_qpe_circuit() {
+  constexpr std::size_t kT = 3, kQ = 5;
+  Circuit c(kT + 2 * kQ);
+  std::vector<std::size_t> systems, ancillas;
+  for (std::size_t i = 0; i < kQ; ++i) {
+    systems.push_back(kT + i);
+    ancillas.push_back(kT + kQ + i);
+  }
+  append_mixed_state_preparation(c, ancillas, systems);
+  for (std::size_t j = 0; j < kT; ++j) c.h(j);
+  const ComplexMatrix r = general_rotation(0.9, 1.3, -0.55, 0.37);
+  const ComplexMatrix r2 = general_rotation(-1.7, 0.45, 2.1, -0.8);
+  c.unitary(r, {12}, {11});     // target bit 0, control bit 1
+  c.unitary(r2, {11}, {12});    // target bit 1, control bit 0
+  c.unitary(r, {5}, {12, 11});  // controls on bits 0 and 1
+  c.unitary(r2, {12}, {0});     // target bit 0, control on the top wire
+  c.unitary(r, {11}, {1, 4});   // target bit 1, high controls
+  c.unitary(r2, {4}, {2, 12});  // precision control and bit 0
+  c.unitary(r, {12});           // uncontrolled on bit 0
+  c.unitary(r2, {8}, {10});     // target and control above bit 1
+  for (std::size_t j = 0; j < kT; ++j)
+    c.controlled_phase(j, kT + j, 0.7 + 0.31 * static_cast<double>(j));
+  append_inverse_qft(c, {0, 1, 2});
   return c;
 }
 
@@ -189,6 +243,17 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
     psi.apply_operator(op, {2, 3, 5, 6, 7}, {0});
     out.push_back(
         {"dense_operator_uneven", fingerprint_amplitudes(psi.amplitudes())});
+  }
+  {  // Purified QPE shape on 13 qubits, gate by gate and as a fused plan.
+    const Circuit c = purified_qpe_circuit();
+    Statevector walked(c.num_qubits());
+    walked.apply_circuit(c);
+    out.push_back(
+        {"dense_purified_qpe", fingerprint_amplitudes(walked.amplitudes())});
+    Statevector fused(c.num_qubits());
+    fused.apply_plan(compile_circuit(c, CompilerOptions{}));
+    out.push_back({"dense_purified_qpe_fused",
+                   fingerprint_amplitudes(fused.amplitudes())});
   }
   {  // Large state (2^18 amplitudes): crosses the parallel-threshold branch
      // of the dense kernels.

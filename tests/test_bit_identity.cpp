@@ -4,8 +4,10 @@
 /// Most expectations below were captured from the tree before the vector
 /// kernels and the precision template landed, with the engines running their
 /// plain scalar loops; `dense_plan_fused` was re-captured when the fusion
-/// cost model went down to one calibration for every dispatch level, and
-/// `dense_operator_uneven` was captured at `QTDA_SIMD=0` when it was added.
+/// cost model went down to one calibration for every dispatch level,
+/// `dense_operator_uneven` was captured at `QTDA_SIMD=0` when it was added,
+/// and the two `dense_purified_qpe` pins were captured at `QTDA_SIMD=0` on
+/// the tree before the enumerated single-qubit and bit-0/1 kernels landed.
 /// Every vector kernel is bit-identical to its scalar branch by construction
 /// (same products, same rounding, the Chebyshev oracle's CSR sums included)
 /// and every level builds the same fused plans, so every scenario reproduces
@@ -38,6 +40,8 @@ const std::map<std::string, std::uint64_t>& golden_fingerprints() {
       {"trajectory_seed42", 0x5fe0a203105a2182ULL},
       {"dense_operator", 0xa82f3991137a8210ULL},
       {"dense_operator_uneven", 0x299f1026cfb31066ULL},
+      {"dense_purified_qpe", 0xc03e3b87c2149065ULL},
+      {"dense_purified_qpe_fused", 0x0aa9aea6f744b883ULL},
       {"dense_large", 0x07de12e830060383ULL},
       {"dense_large_marginal", 0x5e9c457708de6583ULL},
   };

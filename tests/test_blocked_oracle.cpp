@@ -12,6 +12,7 @@
 #include "common/cpu_features.hpp"
 #include "common/parallel.hpp"
 #include "common/random.hpp"
+#include "kernel_test_util.hpp"
 #include "linalg/expm_multiply.hpp"
 #include "linalg/linear_operator.hpp"
 #include "quantum/simd_kernels.hpp"
@@ -19,33 +20,9 @@
 namespace qtda {
 namespace {
 
-std::vector<SimdLevel> levels_up_to_detected() {
-  std::vector<SimdLevel> levels;
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512})
-    if (level <= detected_simd_level()) levels.push_back(level);
-  return levels;
-}
-
-template <typename T>
-bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
-}
-
-/// Uniform entries, with about one in eight set to (+0, −0): a product
-/// with a zero is a signed zero, and only a sum started from +0 (as the
-/// scalar loops start it) turns a leading −0 into +0.
-template <typename R>
-std::vector<std::complex<R>> random_vector(std::size_t n, Rng& rng) {
-  std::vector<std::complex<R>> v(n);
-  for (auto& z : v) {
-    z = {static_cast<R>(rng.uniform(-1.0, 1.0)),
-         static_cast<R>(rng.uniform(-1.0, 1.0))};
-    if (rng.uniform_index(8) == 0) z = {R{0}, -R{0}};
-  }
-  return v;
-}
+using testing::levels_up_to_detected;
+using testing::random_vector;
+using testing::same_bytes;
 
 /// CSR arrays whose rows hold 0, 1 or many (2–13) nonzeros, unsorted
 /// columns with repeats — the kernels must not care.

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -510,6 +512,43 @@ TEST(ServeServer, ConcurrentLoopbackClientsGetBitIdenticalAnswers) {
   const ServerStats totals = server.stats();
   EXPECT_GE(totals.admitted, static_cast<std::size_t>(kThreads * kPerThread));
   EXPECT_EQ(totals.errors, 0u);
+}
+
+/// A numeric field of /proc/self/status, e.g. "Threads:" or "VmSize:" (in
+/// kB); -1 if it cannot be read.
+long status_field(const std::string& name) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind(name, 0) == 0) return std::stol(line.substr(name.size()));
+  return -1;
+}
+
+// Every connection used to keep its finished reader thread until stop():
+// an exited but unjoined thread no longer counts in Threads:, but its stack
+// reservation stays mapped.  The acceptor now joins finished readers before
+// starting the next one, so neither count grows with connection churn.
+TEST(ServeServer, SequentialConnectionsDoNotAccumulateReaderThreads) {
+  BettiServer server;
+  LoopbackTransport transport;
+  server.start(transport);
+  const long threads_before = status_field("Threads:");
+  const long vm_before_kb = status_field("VmSize:");
+  ASSERT_GT(threads_before, 0);
+  ASSERT_GT(vm_before_kb, 0);
+  for (int i = 0; i < 500; ++i) {
+    const std::shared_ptr<Connection> connection = transport.connect();
+    ASSERT_TRUE(connection->write_line("ping"));
+    const std::optional<std::string> reply = connection->read_line();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(*reply, "pong");
+    connection->close();
+  }
+  EXPECT_LE(status_field("Threads:"), threads_before + 4);
+  // 500 leaked stacks would map gigabytes; a few live readers map a few
+  // stacks.
+  EXPECT_LE(status_field("VmSize:"), vm_before_kb + 256 * 1024);
+  server.stop();
 }
 
 // --------------------------------------------------------- expm memo bounds
