@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
 
   const auto complex = worked_example_complex();
   const auto laplacian = combinatorial_laplacian(complex, 1);
-  const auto scaled = rescale_laplacian(pad_laplacian(laplacian), 6.0);
+  const auto scaled = rescale_laplacian_sparse(
+      pad_laplacian_sparse(SparseMatrix::from_dense(laplacian)), 6.0);
   const auto hamiltonian = pauli_decompose(scaled.matrix);
   std::printf("Pauli decomposition: %zu terms over %zu qubits (Eq. 19 has "
               "24)\n\n",

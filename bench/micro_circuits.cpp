@@ -22,8 +22,8 @@ using namespace qtda;
 PauliSum worked_example_hamiltonian() {
   const auto complex = SimplicialComplex::from_simplices(
       {Simplex{1, 2, 3}, Simplex{3, 4}, Simplex{3, 5}, Simplex{4, 5}}, true);
-  const auto scaled = rescale_laplacian(
-      pad_laplacian(combinatorial_laplacian(complex, 1)), 6.0);
+  const auto scaled = rescale_laplacian_sparse(
+      pad_laplacian_sparse(sparse_combinatorial_laplacian(complex, 1)), 6.0);
   return pauli_decompose(scaled.matrix);
 }
 
@@ -71,9 +71,9 @@ void BM_QpeNetworkDense(benchmark::State& state) {
   const auto t = static_cast<std::size_t>(state.range(0));
   const auto complex = SimplicialComplex::from_simplices(
       {Simplex{1, 2, 3}, Simplex{3, 4}, Simplex{3, 5}, Simplex{4, 5}}, true);
-  const auto scaled = rescale_laplacian(
-      pad_laplacian(combinatorial_laplacian(complex, 1)), 6.0);
-  const HamiltonianExponential exponential(scaled.matrix);
+  const auto scaled = rescale_laplacian_sparse(
+      pad_laplacian_sparse(sparse_combinatorial_laplacian(complex, 1)), 6.0);
+  const HamiltonianExponential exponential(scaled.matrix.to_dense());
   QpeLayout layout{t, scaled.num_qubits, 0};
   for (auto _ : state) {
     const Circuit qpe = build_qpe_circuit_dense(

@@ -29,8 +29,9 @@ int main() {
   // The worked-example Hamiltonian (Eq. 18 with delta = lambda_max).
   const auto complex = SimplicialComplex::from_simplices(
       {Simplex{1, 2, 3}, Simplex{3, 4}, Simplex{3, 5}, Simplex{4, 5}}, true);
-  const auto scaled = rescale_laplacian(
-      pad_laplacian(combinatorial_laplacian(complex, 1)), 6.0);
+  const auto scaled = rescale_laplacian_sparse(
+      pad_laplacian_sparse(sparse_combinatorial_laplacian(complex, 1)), 6.0);
+  const RealMatrix h = scaled.matrix.to_dense();
 
   const auto hamiltonian = pauli_decompose(scaled.matrix).sorted();
   std::printf("Pauli decomposition: %zu terms (Eq. 19)\n",
@@ -44,7 +45,7 @@ int main() {
 
   // Trotter circuits at several step counts; fidelity against the exact
   // unitary plus gate statistics before/after the optimizer.
-  const auto exact = unitary_exp(scaled.matrix);
+  const auto exact = unitary_exp(h);
   std::printf("%-7s %-7s %-14s %-9s %-8s %-12s %-12s\n", "steps", "order",
               "max |U-U~|", "gates", "depth", "gates(opt)", "depth(opt)");
   for (const int order : {1, 2}) {
@@ -71,7 +72,7 @@ int main() {
   // Full QPE network sizes: dense oracle vs Trotterized oracle (Fig. 6).
   std::printf("\nQPE network (3 precision qubits, Fig. 6):\n");
   QpeLayout layout{3, 3, 0};
-  const HamiltonianExponential exponential(scaled.matrix);
+  const HamiltonianExponential exponential(h);
   const Circuit dense_qpe = build_qpe_circuit_dense(
       layout, [&](std::uint64_t power) {
         return exponential.unitary(static_cast<double>(power));

@@ -62,12 +62,13 @@ int main() {
 
   // Step 3: pad to 8x8 with (lambda_max/2)*I (Eq. 18) and rescale with
   // delta = lambda_max = 6 so H equals the padded Laplacian.
-  const auto padded = pad_laplacian(laplacian);
+  const auto padded =
+      pad_laplacian_sparse(SparseMatrix::from_dense(laplacian));
   std::printf("Gershgorin bound lambda_max = %.1f; padding 6 -> 8 "
               "(q = %zu system qubits)\n",
               padded.lambda_max, padded.num_qubits);
-  print_matrix("padded Laplacian (Eq. 18)", padded.matrix);
-  const auto scaled = rescale_laplacian(padded, /*delta=*/6.0);
+  print_matrix("padded Laplacian (Eq. 18)", padded.matrix.to_dense());
+  const auto scaled = rescale_laplacian_sparse(padded, /*delta=*/6.0);
 
   // Step 4: Pauli decomposition (Eq. 19) — 24 terms.
   const auto hamiltonian = pauli_decompose(scaled.matrix).sorted();

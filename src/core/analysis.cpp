@@ -14,7 +14,8 @@ EstimatorErrorAnalysis analyze_estimator_error(const RealMatrix& laplacian,
                                                PaddingScheme padding,
                                                double kernel_tolerance) {
   QTDA_REQUIRE(precision_qubits >= 1, "need at least one precision qubit");
-  const PaddingShape shape = padding_shape(laplacian);
+  const PaddingShape shape =
+      padding_shape(SparseMatrix::from_dense(laplacian));
   const double scale = rescale_factor(
       shape.lambda_max, delta > 0.0 ? delta : default_delta());
   const RealVector eigenvalues = scaled_padded_spectrum(

@@ -18,6 +18,12 @@ namespace qtda {
 
 namespace {
 
+/// Largest padded dimension 2^q at which the circuit backends still compute
+/// the diagnostic exact p(0): it eigensolves the |S_k|×|S_k| block, O(|S_k|³)
+/// time and O(|S_k|²) memory, and the estimate itself never needs it.  The
+/// analytic backend, whose estimate it is, always computes it.
+constexpr std::uint64_t kExactReferenceMaxDim = 4096;
+
 QpeLayout make_layout(const EstimatorOptions& options,
                       std::size_t system_qubits, bool with_purification) {
   QpeLayout layout;
@@ -27,113 +33,80 @@ QpeLayout make_layout(const EstimatorOptions& options,
   return layout;
 }
 
-/// QPE network with Trotterized controlled powers, shared by the dense and
-/// CSR decomposition routes (they differ only in how the PauliSum was
-/// obtained).
-Circuit build_trotter_qpe(const PauliSum& hamiltonian,
-                          const EstimatorOptions& options,
-                          const QpeLayout& layout) {
-  const std::size_t offset = layout.precision_qubits;
-  return build_qpe_circuit(
-      layout, [&](Circuit& c, std::uint64_t power, std::size_t control) {
-        // options.trotter.steps is per unit of simulated time; U^{2^j}
-        // simulates 2^j time units, so the step count scales with the
-        // power — otherwise the large controlled powers dominate the
-        // splitting error.
-        TrotterOptions scaled_trotter = options.trotter;
-        scaled_trotter.steps =
-            options.trotter.steps * static_cast<std::size_t>(power);
-        const Circuit fragment =
-            trotter_circuit(hamiltonian, static_cast<double>(power),
-                            scaled_trotter, layout.total(), offset);
-        c.append_circuit(fragment.controlled_on(control));
-      });
-}
-
-/// Builds the full QPE circuit (state prep + network) for the given scaled
-/// Hamiltonian with a dense oracle (kCircuitExact) or Trotterized fragments
-/// (kCircuitTrotter).  For the purification mode the register is t + q + q
-/// wide; for sampled-basis it is t + q and the system register is
-/// initialized by the caller per shot.
-Circuit build_estimator_circuit(const ScaledHamiltonian& scaled,
+/// Builds the full QPE circuit (state prep + network) for the padded,
+/// rescaled H.  For the purification mode the register is t + q + q wide; for
+/// sampled-basis it is t + q and the system register is initialized per shot.
+/// The backends differ only in their controlled powers U^p = exp(i·p·H):
+///  * kCircuitSparse  — matrix-free operator gates applying exp(i·p·H) by
+///    Chebyshev expansion; no 2^q×2^q matrix is ever formed, so the budget
+///    is the state-vector width itself;
+///  * kCircuitTrotter — Trotterized fragments of the Pauli decomposition,
+///    read straight off the CSR structure (Fig. 7);
+///  * kCircuitExact   — dense unitaries from the eigendecomposition of the
+///    densified H (O(4^q) memory per oracle).
+Circuit build_estimator_circuit(const SparseScaledHamiltonian& scaled,
                                 const EstimatorOptions& options,
                                 bool with_purification) {
   const QpeLayout layout =
       make_layout(options, scaled.num_qubits, with_purification);
-  QTDA_REQUIRE(layout.total() <= 26,
-               "register of " << layout.total()
-                              << " qubits exceeds the dense-oracle budget; "
-                                 "use EstimatorBackend::kCircuitSparse");
+  const bool dense_oracle = options.backend == EstimatorBackend::kCircuitExact;
+  QTDA_REQUIRE(layout.total() <= (dense_oracle ? 26u : 30u),
+               "register of " << layout.total() << " qubits exceeds the "
+                              << (dense_oracle
+                                      ? "dense-oracle budget; use "
+                                        "EstimatorBackend::kCircuitSparse"
+                                      : "state-vector budget"));
 
   Circuit circuit(layout.total());
   if (with_purification) {
     append_mixed_state_preparation(circuit, layout.ancilla_wires(),
                                    layout.system_wires());
   }
-
-  Circuit qpe = [&] {
-    if (options.backend == EstimatorBackend::kCircuitTrotter) {
-      return build_trotter_qpe(pauli_decompose(scaled.matrix), options,
-                               layout);
+  switch (options.backend) {
+    case EstimatorBackend::kCircuitSparse: {
+      // All t controlled powers share one CSR copy of H; each operator owns
+      // only its Chebyshev coefficients.
+      const auto shared_h = std::make_shared<const SparseMatrix>(scaled.matrix);
+      circuit.append_circuit(build_qpe_circuit_sparse(
+          layout,
+          [&](std::uint64_t power) -> std::shared_ptr<const LinearOperator> {
+            return std::make_shared<SparseExpOperator>(
+                shared_h, static_cast<double>(power), scaled.spectrum_min(),
+                scaled.spectrum_max());
+          }));
+      break;
     }
-    // kCircuitExact: dense controlled powers from the eigendecomposition.
-    const HamiltonianExponential exponential(scaled.matrix);
-    return build_qpe_circuit_dense(layout, [&](std::uint64_t power) {
-      return exponential.unitary(static_cast<double>(power));
-    });
-  }();
-  circuit.append_circuit(qpe);
-  return circuit;
-}
-
-/// Trotter-on-CSR: the Pauli decomposition is read straight off the sparse
-/// structure (pauli_decompose's CSR overload), so the scaled Laplacian is
-/// never densified on the way to the Fig. 7 circuit — the Trotter backend
-/// now rides the sparse spine like the operator oracle does.
-Circuit build_estimator_circuit_trotter_sparse(
-    const SparseScaledHamiltonian& scaled, const EstimatorOptions& options,
-    bool with_purification) {
-  const QpeLayout layout =
-      make_layout(options, scaled.num_qubits, with_purification);
-  QTDA_REQUIRE(layout.total() <= 30,
-               "register of " << layout.total()
-                              << " qubits exceeds the state-vector budget");
-  Circuit circuit(layout.total());
-  if (with_purification) {
-    append_mixed_state_preparation(circuit, layout.ancilla_wires(),
-                                   layout.system_wires());
+    case EstimatorBackend::kCircuitTrotter: {
+      const PauliSum hamiltonian = pauli_decompose(scaled.matrix);
+      circuit.append_circuit(build_qpe_circuit(
+          layout, [&](Circuit& c, std::uint64_t power, std::size_t control) {
+            // options.trotter.steps is per unit of simulated time; U^{2^j}
+            // simulates 2^j time units, so the step count scales with the
+            // power — otherwise the large controlled powers dominate the
+            // splitting error.
+            TrotterOptions scaled_trotter = options.trotter;
+            scaled_trotter.steps =
+                options.trotter.steps * static_cast<std::size_t>(power);
+            const Circuit fragment = trotter_circuit(
+                hamiltonian, static_cast<double>(power), scaled_trotter,
+                layout.total(), layout.precision_qubits);
+            c.append_circuit(fragment.controlled_on(control));
+          }));
+      break;
+    }
+    case EstimatorBackend::kCircuitExact: {
+      const HamiltonianExponential exponential(scaled.matrix.to_dense());
+      circuit.append_circuit(
+          build_qpe_circuit_dense(layout, [&](std::uint64_t power) {
+            return exponential.unitary(static_cast<double>(power));
+          }));
+      break;
+    }
+    case EstimatorBackend::kAnalytic:
+      QTDA_REQUIRE(false,
+                   "the analytic backend has no circuit; pick a circuit "
+                   "backend");
   }
-  circuit.append_circuit(
-      build_trotter_qpe(pauli_decompose(scaled.matrix), options, layout));
-  return circuit;
-}
-
-/// Sparse-oracle variant: the controlled powers are matrix-free operator
-/// gates applying exp(i·p·H) by Chebyshev expansion — no 2^q×2^q matrix is
-/// ever formed, so the budget is the state-vector width itself.
-Circuit build_estimator_circuit_sparse(const SparseScaledHamiltonian& scaled,
-                                       const EstimatorOptions& options,
-                                       bool with_purification) {
-  const QpeLayout layout =
-      make_layout(options, scaled.num_qubits, with_purification);
-  QTDA_REQUIRE(layout.total() <= 30,
-               "register of " << layout.total()
-                              << " qubits exceeds the state-vector budget");
-
-  Circuit circuit(layout.total());
-  if (with_purification) {
-    append_mixed_state_preparation(circuit, layout.ancilla_wires(),
-                                   layout.system_wires());
-  }
-  // All t controlled powers share one CSR copy of H; each operator owns
-  // only its Chebyshev coefficients.
-  const auto shared_h = std::make_shared<const SparseMatrix>(scaled.matrix);
-  circuit.append_circuit(build_qpe_circuit_sparse(
-      layout, [&](std::uint64_t power) -> std::shared_ptr<const LinearOperator> {
-        return std::make_shared<SparseExpOperator>(
-            shared_h, static_cast<double>(power), scaled.spectrum_min(),
-            scaled.spectrum_max());
-      }));
   return circuit;
 }
 
@@ -225,23 +198,6 @@ void execute_plan_estimate(BettiEstimate& estimate, const ExecutionPlan& plan,
   estimate.zero_counts = zeros;
 }
 
-/// Circuit-level convenience: compile once, then execute.  Every shot
-/// batch, sampled-basis state and noise trajectory reuses the one plan
-/// (fused sweeps, precomputed masks/offsets, persistent scratch).  Noisy
-/// runs compile with noise slots preserved so the error placement and RNG
-/// draw order match the uncompiled walk exactly.
-void execute_circuit_estimate(BettiEstimate& estimate, const Circuit& circuit,
-                              const QpeLayout& layout,
-                              const EstimatorOptions& options, bool purify,
-                              Rng& rng) {
-  estimate.total_qubits = circuit.num_qubits();
-  estimate.circuit_gates = circuit.gate_count();
-  estimate.circuit_depth = circuit.depth();
-  const ExecutionPlan plan =
-      compile_circuit(circuit, estimator_compiler_options(options.noise));
-  execute_plan_estimate(estimate, plan, layout, options, purify, rng);
-}
-
 /// Finalizes p̂(0) → β̃ from the accumulated zero counts.
 void finalize_estimate(BettiEstimate& estimate,
                        const EstimatorOptions& options, std::uint64_t dim) {
@@ -259,15 +215,17 @@ void validate_options(const EstimatorOptions& options) {
                "estimator needs at least one precision qubit");
 }
 
-SparseMatrix dense_to_sparse(const RealMatrix& m) {
-  std::vector<Triplet> triplets;
-  for (std::size_t i = 0; i < m.rows(); ++i)
-    for (std::size_t j = 0; j < m.cols(); ++j)
-      if (m(i, j) != 0.0) triplets.push_back({i, j, m(i, j)});
-  return SparseMatrix::from_triplets(m.rows(), m.cols(), std::move(triplets));
-}
-
 }  // namespace
+
+std::string estimator_backend_name(EstimatorBackend backend) {
+  switch (backend) {
+    case EstimatorBackend::kAnalytic: return "analytic";
+    case EstimatorBackend::kCircuitExact: return "exact";
+    case EstimatorBackend::kCircuitSparse: return "sparse";
+    case EstimatorBackend::kCircuitTrotter: return "trotter";
+  }
+  return "?";
+}
 
 CompilerOptions estimator_compiler_options(const NoiseModel& noise) {
   CompilerOptions options = compiler_options_from_env();
@@ -277,132 +235,58 @@ CompilerOptions estimator_compiler_options(const NoiseModel& noise) {
 
 Circuit build_qtda_circuit(const RealMatrix& laplacian,
                            const EstimatorOptions& options) {
-  QTDA_REQUIRE(options.backend != EstimatorBackend::kAnalytic,
-               "the analytic backend has no circuit; pick a circuit backend");
-  const double delta = options.delta > 0.0 ? options.delta : default_delta();
-  const bool purify = options.mixed_state == MixedStateMode::kPurification;
-  if (options.backend == EstimatorBackend::kCircuitSparse) {
-    const SparsePaddedLaplacian padded =
-        pad_laplacian_sparse(dense_to_sparse(laplacian), options.padding);
-    return build_estimator_circuit_sparse(
-        rescale_laplacian_sparse(padded, delta), options, purify);
-  }
-  const PaddedLaplacian padded = pad_laplacian(laplacian, options.padding);
-  const ScaledHamiltonian scaled = rescale_laplacian(padded, delta);
-  return build_estimator_circuit(scaled, options, purify);
+  return build_qtda_circuit(SparseMatrix::from_dense(laplacian), options);
 }
 
 Circuit build_qtda_circuit(const SparseMatrix& laplacian,
                            const EstimatorOptions& options) {
-  QTDA_REQUIRE(options.backend == EstimatorBackend::kCircuitSparse ||
-                   options.backend == EstimatorBackend::kCircuitTrotter,
-               "the sparse circuit builder supports kCircuitSparse and "
-               "kCircuitTrotter; the other backends need the dense matrix — "
-               "use the dense overload");
   const double delta = options.delta > 0.0 ? options.delta : default_delta();
-  const bool purify = options.mixed_state == MixedStateMode::kPurification;
-  const SparsePaddedLaplacian padded =
-      pad_laplacian_sparse(laplacian, options.padding);
-  const SparseScaledHamiltonian scaled =
-      rescale_laplacian_sparse(padded, delta);
-  return options.backend == EstimatorBackend::kCircuitSparse
-             ? build_estimator_circuit_sparse(scaled, options, purify)
-             : build_estimator_circuit_trotter_sparse(scaled, options, purify);
+  return build_estimator_circuit(
+      rescale_laplacian_sparse(pad_laplacian_sparse(laplacian, options.padding),
+                               delta),
+      options, options.mixed_state == MixedStateMode::kPurification);
 }
 
 BettiEstimate estimate_betti_from_laplacian(const RealMatrix& laplacian,
                                             const EstimatorOptions& options) {
-  if (options.backend == EstimatorBackend::kCircuitSparse) {
-    // The sparse entry point is the native path; converting a small dense
-    // Laplacian costs nothing next to the simulation.
-    return estimate_betti_from_sparse_laplacian(dense_to_sparse(laplacian),
-                                                options);
-  }
-  validate_options(options);
-
-  // q, λ̃max and the scale come from |S_k| and the Gershgorin bound; only
-  // the dense circuit backends below form the padded 2^q×2^q matrices.
-  const PaddingShape shape = padding_shape(laplacian);
-  const double delta = options.delta > 0.0 ? options.delta : default_delta();
-  const double scale = rescale_factor(shape.lambda_max, delta);
-
-  BettiEstimate estimate;
-  estimate.shots = options.shots;
-  estimate.system_qubits = shape.num_qubits;
-  estimate.precision_qubits = options.precision_qubits;
-  estimate.lambda_max = shape.lambda_max;
-  estimate.delta = delta;
-
-  // Analytic reference p(0) of the exact H (used by every backend as the
-  // ground-truth probability; the Trotter backend will deviate from it by
-  // its splitting error).
-  estimate.exact_zero_probability = analytic_zero_probability(
-      scaled_padded_spectrum(laplacian, shape.num_qubits, shape.lambda_max,
-                             scale, options.padding),
-      options.precision_qubits);
-
-  Rng rng(options.seed);
-  const std::uint64_t dim = std::uint64_t{1} << shape.num_qubits;
-  const bool purify = options.mixed_state == MixedStateMode::kPurification;
-
-  if (options.backend == EstimatorBackend::kAnalytic) {
-    estimate.zero_counts = sample_zero_counts(
-        estimate.exact_zero_probability, options.shots, rng);
-    estimate.total_qubits = options.precision_qubits + shape.num_qubits +
-                            (purify ? shape.num_qubits : 0);
-  } else {
-    const ScaledHamiltonian scaled =
-        rescale_laplacian(pad_laplacian(laplacian, options.padding), delta);
-    const Circuit circuit = build_estimator_circuit(scaled, options, purify);
-    const QpeLayout layout = make_layout(options, scaled.num_qubits, purify);
-    execute_circuit_estimate(estimate, circuit, layout, options, purify, rng);
-  }
-  finalize_estimate(estimate, options, dim);
-  return estimate;
+  return estimate_betti_from_sparse_laplacian(
+      SparseMatrix::from_dense(laplacian), options);
 }
 
 CompiledEstimate compile_betti_estimate(const SparseMatrix& laplacian,
                                         const EstimatorOptions& options) {
-  // Covers padding/rescaling, the diagnostic eigensolve, circuit synthesis
-  // and plan compilation (compile_circuit nests its own "compile" span).
+  // Covers padding/rescaling, the exact p(0), circuit synthesis and plan
+  // compilation (compile_circuit nests its own "compile" span).
   QTDA_SPAN("compile_estimate");
-  QTDA_REQUIRE(options.backend == EstimatorBackend::kCircuitSparse ||
-                   options.backend == EstimatorBackend::kCircuitTrotter,
-               "compile_betti_estimate serves the plan-based circuit "
-               "backends (kCircuitSparse, kCircuitTrotter)");
   validate_options(options);
 
-  const SparsePaddedLaplacian padded =
-      pad_laplacian_sparse(laplacian, options.padding);
-  const double delta = options.delta > 0.0 ? options.delta : default_delta();
-  const SparseScaledHamiltonian scaled =
-      rescale_laplacian_sparse(padded, delta);
-
+  // q, λ̃max and the scale come from |S_k| and the Gershgorin bound; only
+  // the circuit backends below form the padded 2^q×2^q operator.
+  const PaddingShape shape = padding_shape(laplacian);
   CompiledEstimate compiled;
   compiled.backend = options.backend;
-  compiled.system_qubits = scaled.num_qubits;
-  compiled.lambda_max = scaled.lambda_max;
-  compiled.delta = delta;
+  compiled.system_qubits = shape.num_qubits;
+  compiled.lambda_max = shape.lambda_max;
+  compiled.delta = options.delta > 0.0 ? options.delta : default_delta();
+  compiled.purify = options.mixed_state == MixedStateMode::kPurification;
+  compiled.layout = make_layout(options, shape.num_qubits, compiled.purify);
+  compiled.total_qubits = compiled.layout.total();
 
-  const std::uint64_t dim = std::uint64_t{1} << scaled.num_qubits;
-  if (dim <= options.exact_reference_max_dim) {
-    // Diagnostic reference from the dense |S_k|×|S_k| block; the estimate
-    // itself is matrix-free.
+  // p(0) of the exact H from the |S_k|×|S_k| block: the analytic backend's
+  // estimate, and the circuit backends' diagnostic reference (the Trotter
+  // backend deviates from it by its splitting error).
+  const bool analytic = options.backend == EstimatorBackend::kAnalytic;
+  if (analytic ||
+      (std::uint64_t{1} << shape.num_qubits) <= kExactReferenceMaxDim) {
     compiled.exact_zero_probability = analytic_zero_probability(
-        scaled_padded_spectrum(laplacian.to_dense(), scaled.num_qubits,
-                               scaled.lambda_max, scaled.scale,
-                               options.padding),
+        scaled_padded_spectrum(
+            laplacian.to_dense(), shape.num_qubits, shape.lambda_max,
+            rescale_factor(shape.lambda_max, compiled.delta), options.padding),
         options.precision_qubits);
   }
+  if (analytic) return compiled;  // no circuit: a Binomial draw from p(0)
 
-  compiled.purify = options.mixed_state == MixedStateMode::kPurification;
-  const Circuit circuit =
-      options.backend == EstimatorBackend::kCircuitSparse
-          ? build_estimator_circuit_sparse(scaled, options, compiled.purify)
-          : build_estimator_circuit_trotter_sparse(scaled, options,
-                                                   compiled.purify);
-  compiled.layout = make_layout(options, scaled.num_qubits, compiled.purify);
-  compiled.total_qubits = circuit.num_qubits();
+  const Circuit circuit = build_qtda_circuit(laplacian, options);
   compiled.circuit_gates = circuit.gate_count();
   compiled.circuit_depth = circuit.depth();
   compiled.plan = std::make_shared<const ExecutionPlan>(
@@ -413,9 +297,8 @@ CompiledEstimate compile_betti_estimate(const SparseMatrix& laplacian,
 BettiEstimate estimate_betti_with_plan(const CompiledEstimate& compiled,
                                        const EstimatorOptions& options) {
   validate_options(options);
-  QTDA_REQUIRE(compiled.plan != nullptr, "CompiledEstimate carries no plan");
   QTDA_REQUIRE(options.backend == compiled.backend,
-               "estimate options switched circuit backend after compilation");
+               "estimate options switched backend after compilation");
   QTDA_REQUIRE(options.precision_qubits == compiled.layout.precision_qubits,
                "estimate options changed the precision register after "
                "compilation");
@@ -423,10 +306,6 @@ BettiEstimate estimate_betti_with_plan(const CompiledEstimate& compiled,
                    compiled.purify,
                "estimate options changed the mixed-state mode after "
                "compilation");
-  QTDA_REQUIRE(options.noise.is_noiseless() ||
-                   compiled.plan->preserves_noise_slots(),
-               "noisy execution needs a plan compiled with noise slots "
-               "preserved");
 
   BettiEstimate estimate;
   estimate.shots = options.shots;
@@ -440,8 +319,18 @@ BettiEstimate estimate_betti_with_plan(const CompiledEstimate& compiled,
   estimate.circuit_depth = compiled.circuit_depth;
 
   Rng rng(options.seed);
-  execute_plan_estimate(estimate, *compiled.plan, compiled.layout, options,
-                        compiled.purify, rng);
+  if (compiled.backend == EstimatorBackend::kAnalytic) {
+    estimate.zero_counts = sample_zero_counts(
+        compiled.exact_zero_probability, options.shots, rng);
+  } else {
+    QTDA_REQUIRE(compiled.plan != nullptr, "CompiledEstimate carries no plan");
+    QTDA_REQUIRE(options.noise.is_noiseless() ||
+                     compiled.plan->preserves_noise_slots(),
+                 "noisy execution needs a plan compiled with noise slots "
+                 "preserved");
+    execute_plan_estimate(estimate, *compiled.plan, compiled.layout, options,
+                          compiled.purify, rng);
+  }
   finalize_estimate(estimate, options,
                     std::uint64_t{1} << compiled.system_qubits);
   return estimate;
@@ -512,13 +401,6 @@ std::vector<BettiEstimate> estimate_betti_batch(
 
 BettiEstimate estimate_betti_from_sparse_laplacian(
     const SparseMatrix& laplacian, const EstimatorOptions& options) {
-  if (options.backend != EstimatorBackend::kCircuitSparse &&
-      options.backend != EstimatorBackend::kCircuitTrotter) {
-    // The analytic and dense-oracle backends need the dense matrix anyway
-    // (eigensolve), so densify up front.  kCircuitTrotter stays sparse: its
-    // Pauli decomposition reads CSR directly.
-    return estimate_betti_from_laplacian(laplacian.to_dense(), options);
-  }
   // Compile + execute: the same two halves the serving layer's plan cache
   // splits across requests, so served estimates are bit-identical to this
   // cold path by construction.
@@ -534,15 +416,8 @@ BettiEstimate estimate_betti(const SimplicialComplex& complex, int k,
     empty.precision_qubits = options.precision_qubits;
     return empty;
   }
-  if (options.backend == EstimatorBackend::kCircuitSparse ||
-      options.backend == EstimatorBackend::kCircuitTrotter) {
-    // CSR end to end: the dense |S_k|×|S_k| Laplacian is never formed (the
-    // Trotter backend decomposes into Pauli strings straight from CSR).
-    return estimate_betti_from_sparse_laplacian(
-        sparse_combinatorial_laplacian(complex, k), options);
-  }
-  return estimate_betti_from_laplacian(combinatorial_laplacian(complex, k),
-                                       options);
+  return estimate_betti_from_sparse_laplacian(
+      sparse_combinatorial_laplacian(complex, k), options);
 }
 
 }  // namespace qtda

@@ -9,7 +9,8 @@
 ///                      Binomial shot draw.  Mathematically identical to the
 ///                      exact circuit; used for the large Fig. 3 sweeps.
 ///  * kCircuitExact   — full state-vector QPE (Fig. 6) with dense controlled
-///                      U^{2^j} oracles and genuine multinomial shots.
+///                      U^{2^j} oracles (the densified padded H, O(4^q)
+///                      memory per oracle) and genuine multinomial shots.
 ///  * kCircuitSparse  — same network, but the controlled powers act on the
 ///                      system register matrix-free: Δ̃_k stays in CSR end to
 ///                      end and exp(i·p·H) is applied by Chebyshev expansion
@@ -20,8 +21,12 @@
 ///                      the Pauli decomposition (Fig. 7), exposing Trotter
 ///                      error and circuit depth; supports the noise model.
 ///
-/// Circuit execution is routed through the pluggable SimulatorBackend
-/// interface (quantum/backend.hpp), selected by EstimatorOptions::simulator.
+/// All four run one path: compile_betti_estimate pads and rescales the CSR
+/// Laplacian, computes the exact p(0) and (circuit backends) builds and
+/// compiles the circuit; estimate_betti_with_plan executes it.  Dense inputs
+/// convert with SparseMatrix::from_dense at the entry point.  Circuit
+/// execution is routed through the pluggable SimulatorBackend interface
+/// (quantum/backend.hpp), selected by EstimatorOptions::simulator.
 ///
 /// Mixed-state input comes either from the purification circuit (Fig. 2,
 /// q extra ancillas) or from per-shot sampling of uniformly random basis
@@ -29,9 +34,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-
 #include <memory>
+#include <string>
 
 #include "common/random.hpp"
 #include "core/analytic_qpe.hpp"
@@ -55,6 +59,10 @@ enum class EstimatorBackend {
   kCircuitSparse,
   kCircuitTrotter,
 };
+
+/// Printable name ("analytic", "exact", "sparse", "trotter"): the wire
+/// protocol's spelling and the serving layer's plan-key axis.
+std::string estimator_backend_name(EstimatorBackend backend);
 
 /// How the maximally mixed system register is realised.
 enum class MixedStateMode {
@@ -88,12 +96,6 @@ struct EstimatorOptions {
   TrotterOptions trotter;
   NoiseModel noise;                  ///< only honoured by circuit backends
   std::uint64_t seed = 42;           ///< shot-sampling RNG seed
-  /// Plan-based backends (kCircuitSparse, kCircuitTrotter) only: skip the
-  /// eigensolve that fills exact_zero_probability once 2^q exceeds this (the
-  /// estimate itself never needs it; the reference value is a diagnostic).
-  /// The reference eigensolves the unpadded |S_k|×|S_k| Laplacian, O(|S_k|³)
-  /// time and O(|S_k|²) memory.
-  std::size_t exact_reference_max_dim = 4096;
 };
 
 /// Outcome of one estimate.
@@ -101,7 +103,9 @@ struct BettiEstimate {
   double estimated_betti = 0.0;      ///< β̃ = 2^q · p̂(0) (rational, Eq. 11)
   std::size_t rounded_betti = 0;     ///< nearest whole number
   double zero_probability = 0.0;     ///< p̂(0) from shots
-  double exact_zero_probability = 0.0;  ///< analytic p(0) of the same H
+  /// Analytic p(0) of the same H; the circuit backends leave it 0 once
+  /// 2^q > 4096 (a diagnostic whose eigensolve costs O(|S_k|³)).
+  double exact_zero_probability = 0.0;
   std::uint64_t zero_counts = 0;     ///< shots that measured phase 0
   std::size_t shots = 0;             ///< α
   std::size_t system_qubits = 0;     ///< q
@@ -122,42 +126,42 @@ CompilerOptions estimator_compiler_options(const NoiseModel& noise);
 
 /// Builds the paper's full circuit (Fig. 2 purification prep when the
 /// mixed-state mode asks for it, plus the Fig. 6 QPE network) for a given
-/// Laplacian — exposed for circuit-level studies: depth accounting, the
-/// optimizer, and exact density-matrix noise analysis.  Requires a circuit
-/// backend in `options.backend`; with kCircuitSparse the controlled powers
-/// are matrix-free operator gates.
-Circuit build_qtda_circuit(const RealMatrix& laplacian,
-                           const EstimatorOptions& options);
-
-/// Sparse overload (kCircuitSparse only): builds the matrix-free circuit
-/// directly from CSR — the literally identical circuit
-/// estimate_betti_from_sparse_laplacian executes, with no densification
-/// round-trip that could reorder nonzeros.
+/// Laplacian — the circuit compile_betti_estimate compiles, exposed for
+/// circuit-level studies: depth accounting, the optimizer, and exact
+/// density-matrix noise analysis.  Requires a circuit backend in
+/// `options.backend`, which picks the controlled powers: Chebyshev operator
+/// gates (kCircuitSparse), Trotterized Pauli fragments (kCircuitTrotter) or
+/// dense unitaries (kCircuitExact).
 Circuit build_qtda_circuit(const SparseMatrix& laplacian,
                            const EstimatorOptions& options);
 
-/// The reusable, request-independent half of a sparse estimate: padding and
-/// rescaling bookkeeping, the diagnostic reference probability, and the
-/// compiled ExecutionPlan of the full QPE circuit.  Produced once by
+/// Dense adapter: build_qtda_circuit(SparseMatrix::from_dense(laplacian)).
+Circuit build_qtda_circuit(const RealMatrix& laplacian,
+                           const EstimatorOptions& options);
+
+/// The reusable, request-independent half of an estimate: padding and
+/// rescaling bookkeeping, the exact p(0), and (circuit backends) the compiled
+/// ExecutionPlan of the full QPE circuit.  Produced once by
 /// compile_betti_estimate, executed any number of times by
-/// estimate_betti_with_plan — the cold estimate_betti_from_sparse_laplacian
-/// path *is* compile + execute, so handing a cached CompiledEstimate to the
-/// execute half changes where the plan comes from, never what it computes
-/// (the serving layer's bit-identity contract).
+/// estimate_betti_with_plan — every cold estimate *is* compile + execute, so
+/// handing a cached CompiledEstimate to the execute half changes where the
+/// plan comes from, never what it computes (the serving layer's
+/// bit-identity contract).  An analytic estimate carries no plan: it
+/// executes as a Binomial draw from exact_zero_probability.
 ///
 /// A CompiledEstimate may be shared across threads, but executions of one
 /// instance must be externally serialized: the plan's scratch arena is
 /// shared mutable state (same one-executor-at-a-time contract as
 /// ExecutionPlan itself).
 struct CompiledEstimate {
-  std::shared_ptr<const ExecutionPlan> plan;
+  std::shared_ptr<const ExecutionPlan> plan;  ///< null for kAnalytic
   QpeLayout layout;
   bool purify = true;            ///< mixed-state mode baked into the circuit
   EstimatorBackend backend = EstimatorBackend::kCircuitSparse;
   std::size_t system_qubits = 0;  ///< q
   std::size_t total_qubits = 0;   ///< register width of the circuit
-  std::size_t circuit_gates = 0;
-  std::size_t circuit_depth = 0;
+  std::size_t circuit_gates = 0;  ///< 0 for kAnalytic
+  std::size_t circuit_depth = 0;  ///< 0 for kAnalytic
   double lambda_max = 0.0;
   double delta = 0.0;
   double exact_zero_probability = 0.0;  ///< 0 when the eigensolve was skipped
@@ -171,11 +175,10 @@ struct CompiledEstimate {
 };
 
 /// Builds and compiles everything about an estimate that does not depend on
-/// the per-request shot state (seed, shots, engine choice): pad → rescale →
-/// circuit → ExecutionPlan, plus the diagnostic reference p(0) from the
-/// |S_k|×|S_k| block when 2^q ≤ exact_reference_max_dim.  Requires
-/// kCircuitSparse or kCircuitTrotter (the backends whose circuits the plan
-/// cache serves).
+/// the per-request shot state (seed, shots, engine choice), for any backend:
+/// q and λ̃max from padding_shape, the exact p(0) from the |S_k|×|S_k| block
+/// (always for kAnalytic; for the circuit backends while 2^q ≤ 4096), and for
+/// the circuit backends pad → rescale → circuit → ExecutionPlan.
 CompiledEstimate compile_betti_estimate(const SparseMatrix& laplacian,
                                         const EstimatorOptions& options);
 
@@ -196,24 +199,23 @@ BettiEstimate estimate_betti_with_plan(const CompiledEstimate& compiled,
 /// running estimate_betti_with_plan once per request.  Every request must be
 /// plan-compatible (same checks as estimate_betti_with_plan) and share the
 /// simulator kind and amplitude precision; shots and seed are free to
-/// vary.  Returns the estimates in request order.
+/// vary.  Returns the estimates in request order.  An analytic estimate
+/// has no plan to evolve and is rejected.
 std::vector<BettiEstimate> estimate_betti_batch(
     const CompiledEstimate& compiled,
     const std::vector<EstimatorOptions>& requests);
 
-/// Estimates β̃_k from a combinatorial Laplacian.
-BettiEstimate estimate_betti_from_laplacian(const RealMatrix& laplacian,
-                                            const EstimatorOptions& options);
-
-/// Estimates β̃_k from a sparse combinatorial Laplacian.  With
-/// kCircuitSparse the Laplacian is never densified; other backends densify
-/// internally (they need the dense matrix anyway).
+/// Estimates β̃_k from a sparse combinatorial Laplacian: compile + execute.
 BettiEstimate estimate_betti_from_sparse_laplacian(
     const SparseMatrix& laplacian, const EstimatorOptions& options);
 
-/// Estimates β̃_k of a simplicial complex (builds Δ_k internally — in CSR
-/// throughout for kCircuitSparse).  Returns an exact zero estimate when the
-/// complex has no k-simplices.
+/// Dense adapter: estimate_betti_from_sparse_laplacian over
+/// SparseMatrix::from_dense(laplacian).
+BettiEstimate estimate_betti_from_laplacian(const RealMatrix& laplacian,
+                                            const EstimatorOptions& options);
+
+/// Estimates β̃_k of a simplicial complex from its CSR Laplacian.  Returns an
+/// exact zero estimate when the complex has no k-simplices.
 BettiEstimate estimate_betti(const SimplicialComplex& complex, int k,
                              const EstimatorOptions& options);
 

@@ -15,14 +15,8 @@ BettiEstimate estimate_persistent_betti(const SimplicialComplex& sub,
     empty.precision_qubits = options.precision_qubits;
     return empty;
   }
-  if (options.backend == EstimatorBackend::kCircuitSparse) {
-    // CSR end to end: Δ_k^{K,L} is assembled sparse and handed to the
-    // matrix-free oracle without a dense |S_k|×|S_k| detour.
-    return estimate_betti_from_sparse_laplacian(
-        sparse_persistent_laplacian(sub, super, k), options);
-  }
-  return estimate_betti_from_laplacian(persistent_laplacian(sub, super, k),
-                                       options);
+  return estimate_betti_from_sparse_laplacian(
+      sparse_persistent_laplacian(sub, super, k), options);
 }
 
 BettiEstimate estimate_persistent_betti(const Filtration& filtration, int k,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "linalg/matrix_ops.hpp"
 #include "linalg/symmetric_eigen.hpp"
 #include "quantum/types.hpp"
 
@@ -11,26 +10,10 @@ namespace qtda {
 
 double default_delta() { return 0.95 * kTwoPi; }
 
-double ScaledHamiltonian::eigenvalue_to_phase(double lambda) const {
-  return lambda * scale / kTwoPi;
-}
-
 double rescale_factor(double lambda_max, double delta) {
   QTDA_REQUIRE(delta > 0.0 && delta <= kTwoPi,
                "delta must lie in (0, 2π], got " << delta);
   return delta / lambda_max;
-}
-
-ScaledHamiltonian rescale_laplacian(const PaddedLaplacian& padded,
-                                    double delta) {
-  ScaledHamiltonian out;
-  out.delta = delta;
-  out.lambda_max = padded.lambda_max;
-  out.scale = rescale_factor(padded.lambda_max, delta);
-  out.num_qubits = padded.num_qubits;
-  out.original_dim = padded.original_dim;
-  out.matrix = scale(padded.matrix, out.scale);
-  return out;
 }
 
 double SparseScaledHamiltonian::eigenvalue_to_phase(double lambda) const {

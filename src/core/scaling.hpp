@@ -4,27 +4,14 @@
 /// QPE phases live on the unit circle, so eigenvalues must fit [0, 2π).
 /// The padded Laplacian is multiplied by δ/λ̃max with δ slightly below 2π;
 /// the paper's worked example uses δ = λ̃max (= 6 < 2π) so that H = Δ̃
-/// exactly — both choices are expressible here.
+/// exactly — both choices are expressible here.  H stays in CSR; the exact
+/// p(0) reference reads the padded spectrum off the |S_k|×|S_k| block.
 #pragma once
 
 #include "core/padding.hpp"
 #include "linalg/dense_matrix.hpp"
 
 namespace qtda {
-
-/// The rescaled Hamiltonian H = (δ/λ̃max)·Δ̃ plus bookkeeping.
-struct ScaledHamiltonian {
-  RealMatrix matrix;        ///< H, acting on num_qubits qubits
-  double delta = 0.0;       ///< δ used
-  double scale = 0.0;       ///< δ/λ̃max
-  std::size_t num_qubits = 0;
-  std::size_t original_dim = 0;
-  double lambda_max = 0.0;
-
-  /// Maps an eigenvalue λ of the *original* Laplacian to the QPE phase
-  /// θ = λ·scale/2π ∈ [0, 1).
-  double eigenvalue_to_phase(double lambda) const;
-};
 
 /// Default δ: 95% of 2π keeps the top of the spectrum clear of wraparound
 /// even when Gershgorin is tight.
@@ -33,14 +20,12 @@ double default_delta();
 /// The rescaling factor δ/λ̃max.  \p delta must lie in (0, 2π].
 double rescale_factor(double lambda_max, double delta);
 
-/// Rescales a padded Laplacian.  \p delta must lie in (0, 2π].
-ScaledHamiltonian rescale_laplacian(const PaddedLaplacian& padded,
-                                    double delta = default_delta());
-
-/// Sparse counterpart: H stays in CSR for the matrix-free exponential
-/// action.  Because the Laplacian is PSD and Gershgorin-bounded by λ̃max,
-/// the scaled spectrum is certified inside [0, δ] with no eigensolve —
-/// exactly the bounds the Chebyshev expansion needs.
+/// The rescaled Hamiltonian H = (δ/λ̃max)·Δ̃ plus bookkeeping, in CSR: the
+/// input of every circuit backend's oracle (Chebyshev action, Pauli
+/// decomposition, or the exact backend's densified exponential).  Because
+/// the Laplacian is PSD and Gershgorin-bounded by λ̃max, the scaled spectrum
+/// is certified inside [0, δ] with no eigensolve — exactly the bounds the
+/// Chebyshev expansion needs.
 struct SparseScaledHamiltonian {
   SparseMatrix matrix = SparseMatrix(0, 0);  ///< H, acting on num_qubits qubits
   double delta = 0.0;       ///< δ used

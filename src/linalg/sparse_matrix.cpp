@@ -45,6 +45,29 @@ SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
   return m;
 }
 
+SparseMatrix SparseMatrix::from_dense(const RealMatrix& dense) {
+  // Row pointers, not the bounds-checked operator(), and storage reserved
+  // from a counting pass: this is the entry of every dense-input estimate.
+  SparseMatrix m(dense.rows(), dense.cols());
+  const auto stored = static_cast<std::size_t>(std::count_if(
+      dense.data(), dense.data() + dense.rows() * dense.cols(),
+      [](double value) { return value != 0.0; }));
+  m.col_indices_.reserve(stored);
+  m.values_.reserve(stored);
+  for (std::size_t r = 0; r < dense.rows(); ++r) {
+    m.row_offsets_[r] = m.values_.size();
+    const double* row = dense.row(r);
+    for (std::size_t c = 0; c < dense.cols(); ++c) {
+      if (row[c] != 0.0) {
+        m.col_indices_.push_back(c);
+        m.values_.push_back(row[c]);
+      }
+    }
+  }
+  m.row_offsets_[dense.rows()] = m.values_.size();
+  return m;
+}
+
 RealVector SparseMatrix::multiply(const RealVector& x) const {
   QTDA_REQUIRE(x.size() == cols_, "sparse matvec shape mismatch");
   RealVector y(rows_, 0.0);

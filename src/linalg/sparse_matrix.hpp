@@ -33,6 +33,10 @@ class SparseMatrix {
   static SparseMatrix from_triplets(std::size_t rows, std::size_t cols,
                                     std::vector<Triplet> triplets);
 
+  /// CSR copy of a dense matrix; zero entries (either sign) are not stored,
+  /// so to_dense() round-trips every nonzero bit for bit.
+  static SparseMatrix from_dense(const RealMatrix& dense);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nonzeros() const { return values_.size(); }

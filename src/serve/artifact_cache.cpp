@@ -59,9 +59,7 @@ std::string ArtifactStore::plan_key(std::uint64_t complex_fingerprint, int k,
                                     const EstimatorOptions& options) {
   std::string key = "cx=" + fingerprint_hex(complex_fingerprint);
   key += "|k=" + std::to_string(k);
-  key += "|backend=";
-  key += options.backend == EstimatorBackend::kCircuitSparse ? "sparse"
-                                                             : "trotter";
+  key += "|backend=" + estimator_backend_name(options.backend);
   key += "|t=" + std::to_string(options.precision_qubits);
   key += "|delta=" + double_token(options.delta);
   key += "|pad=" + std::to_string(static_cast<int>(options.padding));
@@ -74,7 +72,6 @@ std::string ArtifactStore::plan_key(std::uint64_t complex_fingerprint, int k,
            std::to_string(options.trotter.order) + "," +
            (options.trotter.group_commuting ? "g" : "u");
   }
-  key += "|ref=" + std::to_string(options.exact_reference_max_dim);
   // The env-driven fusion policy and the noise-slot layout change the
   // compiled artifact, so they are key axes too: flipping QTDA_FUSE between
   // requests can never alias two different plans.
@@ -131,11 +128,6 @@ ResolvedArtifacts ArtifactStore::resolve(const PointCloud& cloud,
     static telemetry::Counter& misses =
         telemetry::registry().counter("cache.laplacian.misses");
     count_cache_access(hits, misses, resolved.laplacian_hit);
-  }
-
-  if (options.backend != EstimatorBackend::kCircuitSparse &&
-      options.backend != EstimatorBackend::kCircuitTrotter) {
-    return resolved;  // analytic / dense backends run off the Laplacian
   }
 
   const std::string key = plan_key(resolved.complex_fingerprint, k, options);

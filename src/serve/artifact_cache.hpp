@@ -3,7 +3,8 @@
 ///
 /// A served estimate decomposes into three reusable artifacts — the Rips
 /// complex of (cloud, ε), the sparse Laplacian of (complex, k), and the
-/// compiled ExecutionPlan of (complex, k, estimator options) — each far more
+/// CompiledEstimate of (complex, k, estimator options): the exact p(0) and,
+/// for every circuit backend, the compiled ExecutionPlan — each far more
 /// expensive than the shot sampling that actually answers a warm request.
 /// ShardedLruCache is the storage primitive: string-keyed (structural
 /// equality — the parameter axes are spelled out in the key, only content
@@ -161,7 +162,7 @@ struct ResolvedArtifacts {
   std::shared_ptr<const SimplicialComplex> complex;
   std::uint64_t complex_fingerprint = 0;
   std::shared_ptr<const SparseMatrix> laplacian;  ///< null when |S_k| = 0
-  std::shared_ptr<const PlanArtifact> plan;  ///< null for non-plan backends
+  std::shared_ptr<const PlanArtifact> plan;  ///< null when |S_k| = 0
   bool complex_hit = false;
   bool laplacian_hit = false;
   bool plan_hit = false;
@@ -172,11 +173,9 @@ class ArtifactStore {
  public:
   explicit ArtifactStore(const ArtifactStoreOptions& options = {});
 
-  /// Resolves cloud → complex → Laplacian (→ plan for the plan-compatible
-  /// backends kCircuitSparse/kCircuitTrotter; other backends get artifacts
-  /// up to the Laplacian and a null plan).  Bit-identity: every factory is
-  /// exactly the function the cold CLI path calls, so a hit only changes
-  /// where an artifact comes from.
+  /// Resolves cloud → complex → Laplacian → compiled estimate, for every
+  /// backend.  Bit-identity: every factory is exactly the function the cold
+  /// CLI path calls, so a hit only changes where an artifact comes from.
   ResolvedArtifacts resolve(const PointCloud& cloud, double epsilon, int k,
                             const EstimatorOptions& options);
 

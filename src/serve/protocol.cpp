@@ -43,24 +43,15 @@ std::uint64_t parse_u64(const std::string& token, const char* what) {
 }
 
 EstimatorBackend backend_from_name(const std::string& name) {
-  if (name == "analytic") return EstimatorBackend::kAnalytic;
-  if (name == "exact") return EstimatorBackend::kCircuitExact;
-  if (name == "sparse") return EstimatorBackend::kCircuitSparse;
-  if (name == "trotter") return EstimatorBackend::kCircuitTrotter;
+  for (EstimatorBackend backend :
+       {EstimatorBackend::kAnalytic, EstimatorBackend::kCircuitExact,
+        EstimatorBackend::kCircuitSparse, EstimatorBackend::kCircuitTrotter}) {
+    if (name == estimator_backend_name(backend)) return backend;
+  }
   QTDA_REQUIRE(false, "unknown backend \"" << name
                                            << "\" (valid: analytic, exact, "
                                               "sparse, trotter)");
   return EstimatorBackend::kCircuitSparse;
-}
-
-std::string backend_name(EstimatorBackend backend) {
-  switch (backend) {
-    case EstimatorBackend::kAnalytic: return "analytic";
-    case EstimatorBackend::kCircuitExact: return "exact";
-    case EstimatorBackend::kCircuitSparse: return "sparse";
-    case EstimatorBackend::kCircuitTrotter: return "trotter";
-  }
-  return "?";
 }
 
 std::vector<std::vector<double>> parse_points(const std::string& token) {
@@ -173,7 +164,8 @@ std::string format_request(const EstimateRequest& request) {
   out << "estimate id=" << request.id << " eps=" << format_double(request.epsilon)
       << " k=" << request.k << " t=" << request.options.precision_qubits
       << " shots=" << request.options.shots << " seed=" << request.options.seed
-      << " backend=" << backend_name(request.options.backend) << " mixed="
+      << " backend=" << estimator_backend_name(request.options.backend)
+      << " mixed="
       << (request.options.mixed_state == MixedStateMode::kPurification
               ? "purify"
               : "sampled")

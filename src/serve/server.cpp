@@ -257,8 +257,7 @@ void BettiServer::reader_loop(std::shared_ptr<Connection> connection) {
           pending.batch_key = batch_key_of(request);
           pending.batchable =
               options_.batching &&
-              (request.options.backend == EstimatorBackend::kCircuitSparse ||
-               request.options.backend == EstimatorBackend::kCircuitTrotter) &&
+              request.options.backend != EstimatorBackend::kAnalytic &&
               request.options.mixed_state == MixedStateMode::kPurification;
           if (request.deadline_ms > 0) {
             pending.has_deadline = true;
@@ -413,16 +412,9 @@ EstimateResponse BettiServer::execute_single(const EstimateRequest& request) {
       response.ok = true;
       return response;
     }
-    if (artifacts.plan != nullptr) {
-      MutexLock lock(artifacts.plan->exec_mutex);
-      response.estimate =
-          estimate_betti_with_plan(artifacts.plan->compiled, options);
-    } else {
-      // Analytic / dense-oracle backends: cold functions over the cached
-      // Laplacian (they densify internally and carry no reusable plan).
-      response.estimate =
-          estimate_betti_from_sparse_laplacian(*artifacts.laplacian, options);
-    }
+    MutexLock lock(artifacts.plan->exec_mutex);
+    response.estimate =
+        estimate_betti_with_plan(artifacts.plan->compiled, options);
     response.ok = true;
   } catch (const CancelledError&) {
     response = make_error(request.id, ServeErrorCode::kDeadline,
@@ -509,8 +501,8 @@ void BettiServer::execute_batch(std::vector<Pending> batch) {
     const PointCloud cloud(head.points);
     const ResolvedArtifacts artifacts =
         store_.resolve(cloud, head.epsilon, head.k, head.options);
-    if (artifacts.laplacian == nullptr || artifacts.plan == nullptr) {
-      // Degenerate (empty complex) or non-plan fallback: serve serially.
+    if (artifacts.laplacian == nullptr) {
+      // Degenerate (empty complex): serve serially.
       for (const Pending& pending : live) {
         EstimateResponse response = execute_single(pending.request);
         response.batch_size = 1;

@@ -5,7 +5,7 @@
 ///
 ///   reader threads (one per connection) parse lines and *admit* requests
 ///   into a FIFO admission queue → worker threads pop the head and, when the
-///   head is batchable (plan-backend, purification, no per-request noise),
+///   head is batchable (circuit backend, purification, no per-request noise),
 ///   *coalesce* every queued request with the same batch key — identical
 ///   cloud content, ε, k, estimator options, and engine — into one
 ///   execution: the compiled plan evolves the register once and each

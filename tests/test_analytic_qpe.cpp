@@ -81,19 +81,21 @@ TEST_P(CircuitAgreement, AnalyticEqualsPurifiedCircuit) {
   RealMatrix delta1{{3, 0, 0, 0, 0, 0},  {0, 3, 0, -1, -1, 0},
                     {0, 0, 3, -1, -1, 0}, {0, -1, -1, 2, 1, -1},
                     {0, -1, -1, 1, 2, 1}, {0, 0, 0, -1, 1, 2}};
-  const auto scaled = rescale_laplacian(pad_laplacian(delta1), 6.0);
+  const auto scaled = rescale_laplacian_sparse(
+      pad_laplacian_sparse(SparseMatrix::from_dense(delta1)), 6.0);
+  const RealMatrix h = scaled.matrix.to_dense();
   const std::size_t q = scaled.num_qubits;
 
   // Analytic value.
-  const double analytic = analytic_zero_probability(
-      symmetric_eigenvalues(scaled.matrix), t);
+  const double analytic =
+      analytic_zero_probability(symmetric_eigenvalues(h), t);
 
   // Full circuit: purification + QPE with exact controlled powers.
   QpeLayout layout{t, q, q};
   Circuit circuit(layout.total());
   append_mixed_state_preparation(circuit, layout.ancilla_wires(),
                                  layout.system_wires());
-  const HamiltonianExponential exponential(scaled.matrix);
+  const HamiltonianExponential exponential(h);
   const Circuit qpe = build_qpe_circuit_dense(
       layout,
       [&](std::uint64_t power) {
@@ -112,16 +114,18 @@ INSTANTIATE_TEST_SUITE_P(PrecisionQubits, CircuitAgreement,
 TEST(CircuitAgreementFull, WholeDistributionMatches) {
   // Beyond the zero bin: the entire outcome distribution agrees.
   RealMatrix small{{2.0, -1.0}, {-1.0, 2.0}};
-  const auto scaled = rescale_laplacian(pad_laplacian(small), 3.0);
+  const auto scaled = rescale_laplacian_sparse(
+      pad_laplacian_sparse(SparseMatrix::from_dense(small)), 3.0);
+  const RealMatrix h = scaled.matrix.to_dense();
   const std::size_t t = 3;
-  const auto analytic = analytic_outcome_distribution(
-      symmetric_eigenvalues(scaled.matrix), t);
+  const auto analytic =
+      analytic_outcome_distribution(symmetric_eigenvalues(h), t);
 
   QpeLayout layout{t, scaled.num_qubits, scaled.num_qubits};
   Circuit circuit(layout.total());
   append_mixed_state_preparation(circuit, layout.ancilla_wires(),
                                  layout.system_wires());
-  const HamiltonianExponential exponential(scaled.matrix);
+  const HamiltonianExponential exponential(h);
   circuit.append_circuit(build_qpe_circuit_dense(
       layout, [&](std::uint64_t power) {
         return exponential.unitary(static_cast<double>(power));

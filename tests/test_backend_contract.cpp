@@ -18,6 +18,7 @@
 #include "quantum/density_matrix.hpp"
 #include "quantum/noise.hpp"
 #include "scoped_env.hpp"
+#include "simulator_kind_names.hpp"
 
 namespace qtda {
 namespace {
@@ -234,12 +235,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllKinds, BackendContract,
     ::testing::Values(SimulatorKind::kStatevector,
                       SimulatorKind::kDensityMatrix),
-    [](const ::testing::TestParamInfo<SimulatorKind>& param) {
-      std::string name = simulator_kind_name(param.param);
-      for (char& ch : name)
-        if (ch == '-') ch = '_';
-      return name;
-    });
+    testing::simulator_kind_test_name);
 
 }  // namespace
 }  // namespace qtda

@@ -63,10 +63,11 @@ TEST(BlockSpectrum, MatchesExplicitPaddingAndEveryExactP0Agrees) {
                      << "case " << cases << ": k = " << k
                      << ", |S_k| = " << size << ", zero padding = "
                      << (scheme == PaddingScheme::kZero));
-        const ScaledHamiltonian scaled =
-            rescale_laplacian(pad_laplacian(laplacian, scheme));
+        const SparseScaledHamiltonian scaled =
+            rescale_laplacian_sparse(pad_laplacian_sparse(
+                SparseMatrix::from_dense(laplacian), scheme));
         const RealVector explicit_spectrum =
-            symmetric_eigenvalues(scaled.matrix);
+            symmetric_eigenvalues(scaled.matrix.to_dense());
         const RealVector block_spectrum =
             scaled_padded_spectrum(laplacian, scaled.num_qubits,
                                    scaled.lambda_max, scaled.scale, scheme);
@@ -126,10 +127,11 @@ TEST(BlockSpectrum, AnalyticPathsJustAboveAPowerOfTwoNeedNoPaddedMatrix) {
   const RealMatrix laplacian = path_graph_laplacian(129);
   for (PaddingScheme scheme :
        {PaddingScheme::kIdentityHalfLambdaMax, PaddingScheme::kZero}) {
-    const ScaledHamiltonian scaled =
-        rescale_laplacian(pad_laplacian(laplacian, scheme));
+    const SparseScaledHamiltonian scaled = rescale_laplacian_sparse(
+        pad_laplacian_sparse(SparseMatrix::from_dense(laplacian), scheme));
     ASSERT_EQ(scaled.num_qubits, 8u);
-    const RealVector explicit_spectrum = symmetric_eigenvalues(scaled.matrix);
+    const RealVector explicit_spectrum =
+        symmetric_eigenvalues(scaled.matrix.to_dense());
     const std::size_t precision = 3;
     const double reference =
         analytic_zero_probability(explicit_spectrum, precision);
@@ -153,7 +155,7 @@ TEST(BlockSpectrum, AnalyticPathsJustAboveAPowerOfTwoNeedNoPaddedMatrix) {
     EXPECT_EQ(analysis.kernel_dimension,
               scheme == PaddingScheme::kZero ? 128u : 1u);
   }
-  // pad_laplacian's symmetry check still guards both entry points.
+  // padding_shape's symmetry check still guards both entry points.
   RealMatrix asymmetric = path_graph_laplacian(5);
   asymmetric(0, 1) = -0.5;
   EstimatorOptions options;

@@ -18,6 +18,7 @@
 #include "quantum/compiler.hpp"
 #include "quantum/noise.hpp"
 #include "scoped_env.hpp"
+#include "simulator_kind_names.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/random_complex.hpp"
 
@@ -161,13 +162,7 @@ TEST_P(FusionEquivalence, UnfusedPlanIsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, FusionEquivalence,
                          ::testing::Values(SimulatorKind::kStatevector,
                                            SimulatorKind::kDensityMatrix),
-                         [](const auto& param_info) {
-                           std::string name =
-                               simulator_kind_name(param_info.param);
-                           for (char& c : name)
-                             if (c == '-') c = '_';
-                           return name;
-                         });
+                         qtda::testing::simulator_kind_test_name);
 
 TEST(Compiler, NoisePlanKeepsErrorPlacementAndRngOrder) {
   // The draw-sequence guarantee: a plan compiled for noisy execution walks

@@ -25,6 +25,7 @@
 #include "quantum/backend.hpp"
 #include "quantum/qpe.hpp"
 #include "scoped_env.hpp"
+#include "simulator_kind_names.hpp"
 
 namespace qtda {
 namespace {
@@ -108,12 +109,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllBackends, PrecisionReadout,
     ::testing::Values(SimulatorKind::kStatevector,
                       SimulatorKind::kDensityMatrix),
-    [](const ::testing::TestParamInfo<SimulatorKind>& param_info) {
-      std::string name = simulator_kind_name(param_info.param);
-      for (char& ch : name)
-        if (ch == '-') ch = '_';
-      return name;
-    });
+    testing::simulator_kind_test_name);
 
 TEST(PrecisionDispatch, FactoryHonorsTheRequestedPrecision) {
   ScopedSimulatorEnv guard;

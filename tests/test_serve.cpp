@@ -7,7 +7,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <set>
@@ -57,6 +59,27 @@ EstimatorOptions sparse_options() {
   options.seed = 7;
   return options;
 }
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// The served fields a client reads, compared byte for byte.
+void expect_same_estimate_bytes(const BettiEstimate& served,
+                                const BettiEstimate& cli) {
+  EXPECT_EQ(served.zero_counts, cli.zero_counts);
+  EXPECT_EQ(bits_of(served.estimated_betti), bits_of(cli.estimated_betti));
+  EXPECT_EQ(bits_of(served.exact_zero_probability),
+            bits_of(cli.exact_zero_probability));
+  EXPECT_EQ(served.total_qubits, cli.total_qubits);
+  EXPECT_EQ(served.circuit_gates, cli.circuit_gates);
+}
+
+constexpr EstimatorBackend kAllBackends[] = {
+    EstimatorBackend::kAnalytic, EstimatorBackend::kCircuitExact,
+    EstimatorBackend::kCircuitSparse, EstimatorBackend::kCircuitTrotter};
 
 // ---------------------------------------------------------------- fingerprints
 
@@ -171,10 +194,14 @@ TEST(ServePlanKey, EveryAxisSeparatesKeys) {
   insert(1, 1, variant);
 
   variant = base;
-  variant.exact_reference_max_dim = 0;
+  variant.backend = EstimatorBackend::kAnalytic;
   insert(1, 1, variant);
 
-  EXPECT_EQ(keys.size(), 12u);  // no two option sets may collide
+  variant = base;
+  variant.backend = EstimatorBackend::kCircuitExact;
+  insert(1, 1, variant);
+
+  EXPECT_EQ(keys.size(), 13u);  // no two option sets may collide
 }
 
 TEST(ServePlanKey, FusionEnvironmentIsAKeyAxis) {
@@ -362,37 +389,37 @@ TEST(ServeProtocol, MalformedLinesThrow) {
 // ------------------------------------------------------- served bit-identity
 
 TEST(ServeBitIdentity, ServedEstimateMatchesCliPathColdAndWarm) {
+  // Every backend, served through the compiled-estimate cache: the cold
+  // request misses and the repeat hits every level, both with the bytes of
+  // the cold CLI path the paper experiments run.
   const auto points = circle_points(8);
-  const EstimatorOptions options = sparse_options();
-
-  // The cold CLI path the paper experiments run.
-  const BettiEstimate cli =
-      estimate_betti(rips_complex(PointCloud(points), 1.0, 2), 1, options);
-
+  const SimplicialComplex complex = rips_complex(PointCloud(points), 1.0, 2);
   BettiServer server;
-  EstimateRequest request;
-  request.id = "t";
-  request.points = points;
-  request.epsilon = 1.0;
-  request.k = 1;
-  request.options = options;
+  for (EstimatorBackend backend : kAllBackends) {
+    SCOPED_TRACE(estimator_backend_name(backend));
+    EstimateRequest request;
+    request.id = "t";
+    request.points = points;
+    request.epsilon = 1.0;
+    request.k = 1;
+    request.options = sparse_options();
+    request.options.backend = backend;
+    const BettiEstimate cli = estimate_betti(complex, 1, request.options);
 
-  const EstimateResponse cold = server.handle(request);
-  ASSERT_TRUE(cold.ok) << cold.error;
-  EXPECT_FALSE(cold.plan_hit);
-  EXPECT_EQ(cold.estimate.zero_counts, cli.zero_counts);
-  EXPECT_EQ(cold.estimate.estimated_betti, cli.estimated_betti);
-  EXPECT_EQ(cold.estimate.exact_zero_probability, cli.exact_zero_probability);
-  EXPECT_EQ(cold.estimate.rounded_betti, cli.rounded_betti);
-  EXPECT_EQ(cold.estimate.circuit_gates, cli.circuit_gates);
+    const EstimateResponse cold = server.handle(request);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    EXPECT_FALSE(cold.plan_hit);
+    expect_same_estimate_bytes(cold.estimate, cli);
+    EXPECT_EQ(cold.estimate.rounded_betti, cli.rounded_betti);
 
-  const EstimateResponse warm = server.handle(request);
-  ASSERT_TRUE(warm.ok) << warm.error;
-  EXPECT_TRUE(warm.plan_hit);
-  EXPECT_TRUE(warm.complex_hit);
-  EXPECT_TRUE(warm.laplacian_hit);
-  EXPECT_EQ(warm.estimate.zero_counts, cli.zero_counts);
-  EXPECT_EQ(warm.estimate.estimated_betti, cli.estimated_betti);
+    const EstimateResponse warm = server.handle(request);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    EXPECT_TRUE(warm.plan_hit);
+    EXPECT_TRUE(warm.complex_hit);
+    EXPECT_TRUE(warm.laplacian_hit);
+    expect_same_estimate_bytes(warm.estimate, cli);
+  }
+  EXPECT_EQ(server.stats().plans.entries, std::size(kAllBackends));
 }
 
 TEST(ServeBitIdentity, EmptyComplexShortCircuitsLikeEstimateBetti) {
@@ -415,23 +442,29 @@ TEST(ServeBatch, BatchedExecutionIsBitIdenticalToSerial) {
   const SimplicialComplex complex =
       rips_complex(PointCloud(circle_points(8)), 1.0, 2);
   const SparseMatrix laplacian = sparse_combinatorial_laplacian(complex, 1);
-  EstimatorOptions base = sparse_options();
-  const CompiledEstimate compiled = compile_betti_estimate(laplacian, base);
+  for (EstimatorBackend backend :
+       {EstimatorBackend::kCircuitSparse, EstimatorBackend::kCircuitTrotter,
+        EstimatorBackend::kCircuitExact}) {
+    SCOPED_TRACE(estimator_backend_name(backend));
+    EstimatorOptions base = sparse_options();
+    base.backend = backend;
+    const CompiledEstimate compiled = compile_betti_estimate(laplacian, base);
 
-  std::vector<EstimatorOptions> requests(5, base);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    requests[i].seed = 1000 + 17 * i;
-    requests[i].shots = 128 + 64 * i;  // shots may vary inside one batch
-  }
-  const std::vector<BettiEstimate> batched =
-      estimate_betti_batch(compiled, requests);
-  ASSERT_EQ(batched.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const BettiEstimate serial =
-        estimate_betti_with_plan(compiled, requests[i]);
-    EXPECT_EQ(batched[i].zero_counts, serial.zero_counts) << "request " << i;
-    EXPECT_EQ(batched[i].estimated_betti, serial.estimated_betti);
-    EXPECT_EQ(batched[i].shots, serial.shots);
+    std::vector<EstimatorOptions> requests(5, base);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      requests[i].seed = 1000 + 17 * i;
+      requests[i].shots = 128 + 64 * i;  // shots may vary inside one batch
+    }
+    const std::vector<BettiEstimate> batched =
+        estimate_betti_batch(compiled, requests);
+    ASSERT_EQ(batched.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "request " << i);
+      const BettiEstimate serial =
+          estimate_betti_with_plan(compiled, requests[i]);
+      expect_same_estimate_bytes(batched[i], serial);
+      EXPECT_EQ(batched[i].shots, serial.shots);
+    }
   }
 }
 
@@ -452,6 +485,13 @@ TEST(ServeBatch, RejectsRequestsOutsideTheBatchableRegime) {
   EstimatorOptions f32 = base;
   f32.precision = Precision::kFloat32;
   EXPECT_THROW(estimate_betti_batch(compiled, {base, f32}), Error);
+
+  // An analytic estimate carries no plan, so there is no evolution to share.
+  EstimatorOptions analytic = base;
+  analytic.backend = EstimatorBackend::kAnalytic;
+  EXPECT_THROW(estimate_betti_batch(compile_betti_estimate(laplacian, analytic),
+                                    {analytic}),
+               Error);
 }
 
 // ------------------------------------------------------------ loopback serve
@@ -512,6 +552,54 @@ TEST(ServeServer, ConcurrentLoopbackClientsGetBitIdenticalAnswers) {
   const ServerStats totals = server.stats();
   EXPECT_GE(totals.admitted, static_cast<std::size_t>(kThreads * kPerThread));
   EXPECT_EQ(totals.errors, 0u);
+}
+
+TEST(ServeServer, ExactBurstReturnsTheCliBytesForEveryRequest) {
+  // Same-key exact requests are batchable now; whether this burst coalesces
+  // depends on queue timing, so only the answers are asserted.
+  const auto points = circle_points(8);
+  EstimatorOptions options = sparse_options();
+  options.backend = EstimatorBackend::kCircuitExact;
+  options.shots = 256;
+  const SimplicialComplex complex = rips_complex(PointCloud(points), 1.0, 2);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3;
+  std::vector<BettiEstimate> expected;
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    EstimatorOptions request_options = options;
+    request_options.seed = 300 + static_cast<std::uint64_t>(i);
+    expected.push_back(estimate_betti(complex, 1, request_options));
+  }
+
+  BettiServer server;
+  LoopbackTransport transport;
+  server.start(transport);
+  std::vector<EstimateResponse> responses(expected.size());
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      ServeClient client(transport.connect());
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::size_t index = static_cast<std::size_t>(t * kPerThread + i);
+        EstimateRequest request;
+        request.points = points;
+        request.epsilon = 1.0;
+        request.k = 1;
+        request.options = options;
+        request.options.seed = 300 + index;
+        responses[index] = client.estimate(request);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  server.stop();
+
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "request " << i);
+    ASSERT_TRUE(responses[i].ok) << responses[i].error;
+    expect_same_estimate_bytes(responses[i].estimate, expected[i]);
+  }
+  EXPECT_EQ(server.stats().errors, 0u);
 }
 
 /// A numeric field of /proc/self/status, e.g. "Threads:" or "VmSize:" (in

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "linalg/matrix_ops.hpp"
@@ -112,6 +114,26 @@ TEST(SparseMatrix, TransposedRoundTrip) {
   EXPECT_LT(max_abs_diff(m.to_dense(), tt.to_dense()), 1e-15);
   EXPECT_EQ(m.transposed().rows(), 3u);
   EXPECT_EQ(m.transposed().cols(), 2u);
+}
+
+TEST(SparseMatrix, FromDenseStoresNonzerosAndRoundTrips) {
+  // Rectangular, with zeros of both signs that must not be stored.
+  const RealMatrix dense{{0.0, 1.5, -0.0, 0.0},
+                         {-2.0, 0.0, 0.0, 1.0 / 3.0},
+                         {0.0, 0.0, 0.0, 0.0}};
+  const SparseMatrix sparse = SparseMatrix::from_dense(dense);
+  EXPECT_EQ(sparse.rows(), 3u);
+  EXPECT_EQ(sparse.cols(), 4u);
+  EXPECT_EQ(sparse.nonzeros(), 3u);
+  EXPECT_EQ(sparse.row_offsets(), (std::vector<std::size_t>{0, 1, 3, 3}));
+  EXPECT_EQ(sparse.col_indices(), (std::vector<std::size_t>{1, 0, 3}));
+  const RealMatrix back = sparse.to_dense();
+  ASSERT_EQ(back.rows(), dense.rows());
+  ASSERT_EQ(back.cols(), dense.cols());
+  for (std::size_t i = 0; i < dense.rows(); ++i)
+    for (std::size_t j = 0; j < dense.cols(); ++j)
+      EXPECT_EQ(back(i, j), dense(i, j)) << "at (" << i << ',' << j << ')';
+  EXPECT_EQ(SparseMatrix::from_dense(RealMatrix(2, 5)).nonzeros(), 0u);
 }
 
 TEST(SparseMatrix, ShapeMismatchThrows) {

@@ -3,13 +3,16 @@
 // random complexes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.hpp"
 #include "core/padding.hpp"
 #include "core/scaling.hpp"
 #include "linalg/gershgorin.hpp"
+#include "linalg/matrix_ops.hpp"
 #include "linalg/symmetric_eigen.hpp"
+#include "quantum/types.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/random_complex.hpp"
 
@@ -72,18 +75,28 @@ TEST_P(SparseLaplacianProperty, SparsePaddingAndScalingMatchDense) {
   for (auto scheme :
        {PaddingScheme::kIdentityHalfLambdaMax, PaddingScheme::kZero}) {
     const SparsePaddedLaplacian sp = pad_laplacian_sparse(laplacian, scheme);
-    const PaddedLaplacian dp = pad_laplacian(laplacian.to_dense(), scheme);
-    EXPECT_EQ(sp.num_qubits, dp.num_qubits);
-    EXPECT_EQ(sp.original_dim, dp.original_dim);
-    EXPECT_DOUBLE_EQ(sp.lambda_max, dp.lambda_max);
-    expect_matrices_equal(sp.matrix.to_dense(), dp.matrix);
+    EXPECT_EQ(sp.original_dim, laplacian.rows());
+    EXPECT_EQ(std::size_t{1} << sp.num_qubits, sp.matrix.rows());
+    EXPECT_DOUBLE_EQ(sp.lambda_max,
+                     std::max(gershgorin_max(laplacian.to_dense()), 1.0));
+    // Eq. 7: Δ_k in the top-left block, c·I below it (c = λ̃max/2 or 0).
+    const RealMatrix block = laplacian.to_dense();
+    RealMatrix expected(sp.matrix.rows(), sp.matrix.cols());
+    for (std::size_t i = 0; i < expected.rows(); ++i) {
+      for (std::size_t j = 0; j < expected.cols(); ++j) {
+        if (i < block.rows() && j < block.cols()) expected(i, j) = block(i, j);
+      }
+      if (i >= block.rows() &&
+          scheme == PaddingScheme::kIdentityHalfLambdaMax)
+        expected(i, i) = sp.lambda_max / 2.0;
+    }
+    expect_matrices_equal(sp.matrix.to_dense(), expected);
 
     const SparseScaledHamiltonian ss = rescale_laplacian_sparse(sp, 6.0);
-    const ScaledHamiltonian ds = rescale_laplacian(dp, 6.0);
-    EXPECT_DOUBLE_EQ(ss.scale, ds.scale);
-    EXPECT_DOUBLE_EQ(ss.eigenvalue_to_phase(2.0),
-                     ds.eigenvalue_to_phase(2.0));
-    expect_matrices_equal(ss.matrix.to_dense(), ds.matrix);
+    EXPECT_DOUBLE_EQ(ss.scale, 6.0 / sp.lambda_max);
+    EXPECT_DOUBLE_EQ(ss.eigenvalue_to_phase(2.0), 2.0 * ss.scale / kTwoPi);
+    expect_matrices_equal(ss.matrix.to_dense(),
+                          scale(sp.matrix.to_dense(), ss.scale));
     // The certified Chebyshev bounds really contain the scaled spectrum
     // (PSD-ness gives the lower bound, Gershgorin+rescale the upper).
     const RealVector eigenvalues = symmetric_eigenvalues(ss.matrix.to_dense());
@@ -96,17 +109,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SparseLaplacianProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
 TEST(SparsePadding, AcceptsNearSymmetricLikeDensePath) {
-  // A tiny one-sided entry is within the dense is_symmetric tolerance; the
-  // sparse path must not reject it just because the CSR structures differ.
+  // A tiny one-sided entry is within the dense is_symmetric tolerance: an
+  // entry stored on one side only counts as zero on the other.
   const auto lopsided = SparseMatrix::from_triplets(
       2, 2, {{0, 0, 2.0}, {1, 1, 2.0}, {0, 1, 1e-12}});
-  EXPECT_NO_THROW(pad_laplacian(lopsided.to_dense()));
+  EXPECT_TRUE(is_symmetric(lopsided.to_dense(), 1e-9));
   EXPECT_NO_THROW(pad_laplacian_sparse(lopsided));
-  // A genuinely asymmetric matrix still throws on both paths.
+  // A genuinely asymmetric matrix still throws.
   const auto skew = SparseMatrix::from_triplets(
       2, 2, {{0, 0, 2.0}, {1, 1, 2.0}, {0, 1, 0.5}});
-  EXPECT_THROW(pad_laplacian(skew.to_dense()), Error);
   EXPECT_THROW(pad_laplacian_sparse(skew), Error);
+  // Both halves stored: 1e-12 apart passes, 1e-6 apart throws (the
+  // tolerance is 1e-9), whichever row holds the larger value.
+  for (const double drift : {1e-12, 1e-6, -1e-6}) {
+    const auto mirrored = SparseMatrix::from_triplets(
+        3, 3, {{0, 0, 2.0}, {1, 1, 2.0}, {2, 2, 2.0}, {0, 2, -1.0},
+               {2, 0, -1.0 + drift}});
+    if (std::abs(drift) < 1e-9) {
+      EXPECT_NO_THROW(padding_shape(mirrored));
+    } else {
+      EXPECT_THROW(padding_shape(mirrored), Error) << "drift " << drift;
+    }
+  }
 }
 
 TEST(SparseGramProducts, MatchDenseOnRectangular) {

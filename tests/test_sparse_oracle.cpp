@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/betti_estimator.hpp"
 #include "quantum/executor.hpp"
@@ -98,17 +100,28 @@ TEST(SparseOracle, HighResourceEstimateMatchesClassicalBetti) {
 }
 
 TEST(SparseOracle, SparseEntryPointSkipsDenseReferenceWhenAsked) {
-  const auto complex = sample_complex(3, 8);
-  const SparseMatrix laplacian = sparse_combinatorial_laplacian(complex, 1);
+  // 4097 rows pad to 2^13 > 4096: the circuit backends skip the diagnostic
+  // eigensolve of the |S_k|×|S_k| block (O(|S_k|³)) and compile the plan
+  // alone.  Compile only: the skipped eigensolve is what would be slow.
+  const std::size_t n = 4097;
+  std::vector<Triplet> triplets;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    triplets.push_back({i, i, 1.0});
+    triplets.push_back({i + 1, i + 1, 1.0});
+    triplets.push_back({i, i + 1, -1.0});
+    triplets.push_back({i + 1, i, -1.0});
+  }
+  const SparseMatrix path =
+      SparseMatrix::from_triplets(n, n, std::move(triplets));
   EstimatorOptions options;
   options.backend = EstimatorBackend::kCircuitSparse;
-  options.precision_qubits = 3;
-  options.shots = 2000;
-  options.exact_reference_max_dim = 1;  // suppress the diagnostic eigensolve
-  const BettiEstimate estimate =
-      estimate_betti_from_sparse_laplacian(laplacian, options);
-  EXPECT_DOUBLE_EQ(estimate.exact_zero_probability, 0.0);
-  EXPECT_GT(estimate.shots, 0u);
+  options.mixed_state = MixedStateMode::kSampledBasis;
+  options.precision_qubits = 1;
+  const CompiledEstimate compiled = compile_betti_estimate(path, options);
+  EXPECT_EQ(compiled.system_qubits, 13u);
+  EXPECT_EQ(compiled.exact_zero_probability, 0.0);
+  ASSERT_NE(compiled.plan, nullptr);
+  EXPECT_EQ(compiled.plan->num_qubits(), 14u);
 }
 
 TEST(SparseOracle, SparseEntryPointServesOtherBackends) {
