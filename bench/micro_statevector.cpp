@@ -6,8 +6,15 @@
 /// backend: the reference marks for parallelizing the engine's gate
 /// kernels.  BM_PurificationPrep/n runs the estimator's purification prep
 /// and precision Hadamards as a compiled plan at the perfbench register
-/// sizes, the single-qubit layer of every purified estimate.
+/// sizes, the single-qubit layer of every purified estimate.  The operator
+/// kernel applies its oracle once per distinct block; the two ends of that
+/// are BM_OperatorOracleDistinct/q (a random state: every block distinct,
+/// all hashed, none skipped) and BM_PurifiedQpeOracle/n (the purified t = 3
+/// ladder, where 5 of 12 blocks repeat).
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "common/random.hpp"
 #include "linalg/expm_multiply.hpp"
@@ -75,6 +82,75 @@ void BM_OperatorOracleDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OperatorOracleDense)->DenseRange(12, 14, 2);
+
+/// One controlled 27-term oracle on 128-amplitude blocks of a random
+/// q-qubit state (control wire 0, system on the last 7 wires): 2^(q−8)
+/// blocks, no two equal.
+void BM_OperatorOracleDistinct(benchmark::State& state) {
+  const auto q = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kSystem = 7;
+  Statevector sv(q);
+  Rng rng(2024);
+  std::vector<Amplitude> amplitudes(sv.dimension());
+  for (Amplitude& a : amplitudes) a = {rng.normal(), rng.normal()};
+  sv.set_amplitudes(std::move(amplitudes));
+  sv.normalize();
+  const SparseExpOperator op(tridiagonal_hamiltonian(kSystem), 3.5, 0.0, 4.0);
+  std::vector<std::size_t> targets;
+  for (std::size_t w = q - kSystem; w < q; ++w) targets.push_back(w);
+  for (auto _ : state) {
+    sv.apply_operator(op, targets, {0});
+    benchmark::DoNotOptimize(sv.amplitudes().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["blocks"] =
+      static_cast<double>(std::size_t{1} << (q - 1 - kSystem));
+  state.counters["terms"] = static_cast<double>(op.num_terms());
+}
+BENCHMARK(BM_OperatorOracleDistinct)->DenseRange(13, 17, 2)->UseRealTime();
+
+/// The purified estimator's oracle ladder at t = 3 on an n-qubit register
+/// (q = (n − 3)/2 system and ancilla wires): controlled e^{i·p·H} with
+/// p = 4, 2, 1 on precision wires 0, 1, 2, H = (0.95·2π/4)·A for the
+/// tridiagonal A of spectrum [0, 4].  The purification prep and H wall
+/// run untimed before every iteration.
+void BM_PurifiedQpeOracle(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kPrecision = 3;
+  const std::size_t q = (n - kPrecision) / 2;
+  std::vector<std::size_t> systems, ancillas;
+  for (std::size_t i = 0; i < q; ++i) {
+    systems.push_back(kPrecision + i);
+    ancillas.push_back(kPrecision + q + i);
+  }
+  Circuit prep(n);
+  append_mixed_state_preparation(prep, ancillas, systems);
+  for (std::size_t w = 0; w < kPrecision; ++w) prep.h(w);
+  const auto hamiltonian =
+      std::make_shared<const SparseMatrix>(tridiagonal_hamiltonian(q));
+  const double scale = 0.95 * 2.0 * 3.141592653589793 / 4.0;
+  Circuit ladder(n);
+  for (std::size_t j = 0; j < kPrecision; ++j) {
+    const double power =
+        static_cast<double>(std::size_t{1} << (kPrecision - 1 - j));
+    ladder.operator_gate(std::make_shared<const SparseExpOperator>(
+                             hamiltonian, power * scale, 0.0, 4.0),
+                         systems, {j});
+  }
+  const ExecutionPlan prep_plan = compile_circuit(prep, CompilerOptions{});
+  const ExecutionPlan ladder_plan = compile_circuit(ladder, CompilerOptions{});
+  Statevector sv(n);
+  for (auto _ : state) {
+    state.PauseTiming();
+    sv.set_basis_state(0);
+    sv.apply_plan(prep_plan);
+    state.ResumeTiming();
+    sv.apply_plan(ladder_plan);
+    benchmark::DoNotOptimize(sv.amplitudes().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PurifiedQpeOracle)->DenseRange(15, 17, 2)->UseRealTime();
 
 /// The purified estimator's register, t + q system + q ancilla wires at
 /// t = 3: H and CNOT onto its system partner for each ancilla (controls on

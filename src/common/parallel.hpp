@@ -2,12 +2,16 @@
 /// \brief Shared-memory parallel primitives used by the hot kernels.
 ///
 /// A cached thread pool with a blocking parallel_for and an ordered
-/// reduction.  What runs on it: the dense engine's marginal and norm
-/// reductions above 2^17 amplitudes, the Chebyshev oracle's blocks of up to
-/// eight right-hand sides (one contiguous chunk of blocks per worker) and,
-/// for a single right-hand side, its CSR passes split by rows above 4096 rows,
-/// and task-level sweeps (e.g. one random complex per worker in the Fig. 3
-/// sweep).  The dense engine's gate kernels are serial.
+/// reduction.  A parallel_for is one section: its range is cut into a few
+/// equal pieces per pool thread, and the caller and up to size() − 1 helper
+/// tasks claim them in order, so the caller works instead of waiting and a
+/// helper that starts late costs one piece.  What runs on it: the dense
+/// engine's marginal and norm reductions above 2^17 amplitudes, the
+/// Chebyshev oracle's blocks of up to eight right-hand sides and, for a
+/// single right-hand side, its CSR passes split by rows from 2^16 stored
+/// nonzeros, and task-level sweeps (e.g. the random complexes of the
+/// Fig. 3 sweep).
+/// The dense engine's gate kernels are serial.
 #pragma once
 
 #include <algorithm>
@@ -58,22 +62,26 @@ class ThreadPool {
   bool shutting_down_ QTDA_GUARDED_BY(mutex_) = false;
 };
 
-/// Workers a parallel_for{,_chunked} issued from the calling thread spreads
-/// over: the shared pool's size, or 1 inside a pool task, where nested calls
-/// run serially.
+/// Threads a parallel_for{,_chunked} issued from the calling thread spreads
+/// over: the shared pool's size (the caller and size() − 1 helpers), or 1
+/// inside a pool task or a piece the caller runs, where nested calls run
+/// serially.
 std::size_t available_workers();
 
 /// Runs body(i) for i in [begin, end) across the shared pool, blocking until
-/// completion.  Work is split into contiguous chunks, one per worker, which
-/// is the right grain for the memory-bound kernels in this library.  Runs
-/// serially when the range is small or the pool has one thread.  Safe to
-/// call from inside a pool task: nested invocations run serially instead of
-/// deadlocking the pool.
+/// completion.  The range is cut into contiguous pieces, four per pool
+/// thread (fewer when the range is shorter), which the calling thread and
+/// up to size() − 1 pool workers claim in order; the call returns once
+/// every claimed piece has finished, without waiting for a worker that
+/// wakes after the last one.  Runs serially when the range is small or the
+/// pool has one thread.  Safe to call from inside a pool task or a piece:
+/// nested invocations run serially instead of deadlocking the pool.  An
+/// exception from a piece is rethrown after every piece has finished.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t min_parallel_size = 1024);
 
-/// Chunked variant: body(chunk_begin, chunk_end) per worker.  Lower
+/// Chunked variant: body(piece_begin, piece_end) per piece.  Lower
 /// per-element overhead for tight loops.
 void parallel_for_chunked(
     std::size_t begin, std::size_t end,

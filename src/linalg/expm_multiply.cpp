@@ -234,8 +234,12 @@ std::size_t block_width(std::size_t count, std::size_t workers) {
   return (count + rounds * workers - 1) / (rounds * workers);
 }
 
-/// Rows above which a lone block splits its CSR products across the pool.
-constexpr std::size_t kRowParallelMin = 4096;
+/// Stored nonzeros from which a lone block splits its CSR products across
+/// the pool.  Every term then costs a pool section, which pays only once a
+/// pass is long: on a 4-vCPU AVX-512 host a lone vector ran 1.15–2.2×
+/// slower split than serially at 12k–74k nonzeros and 1.2–1.5× faster at
+/// 98k–295k, and the split never won below 2^16.
+constexpr std::size_t kRowParallelMinNonzeros = std::size_t{1} << 16;
 
 /// The recurrence's inputs at one precision: B = (A − c·I)/h in CSR form
 /// and the truncated coefficients a_k.
@@ -289,7 +293,7 @@ void chebyshev_block(const ChebyshevRecurrence<R>& rec, std::size_t width,
                           width, lo, hi);
     };
     if (parallel_rows) {
-      parallel_for_chunked(0, rec.rows, rows_body, kRowParallelMin);
+      parallel_for_chunked(0, rec.rows, rows_body, /*min_parallel_size=*/2);
     } else {
       rows_body(0, rec.rows);
     }
@@ -311,8 +315,9 @@ void chebyshev_block(const ChebyshevRecurrence<R>& rec, std::size_t width,
 
 /// Applies the recurrence to \p count consecutive length-rows vectors:
 /// blocks of block_width() vectors are transposed into [rows × width], run,
-/// and transposed back.  Chunks of blocks go on the shared pool, each with
-/// one workspace; a lone block splits its CSR products across rows instead.
+/// and transposed back.  Pieces of blocks go on the shared pool, each with
+/// one workspace; a lone block of a long matrix splits its CSR products
+/// across rows instead.
 template <typename R>
 void apply_blocked(const ChebyshevRecurrence<R>& rec,
                    const std::complex<R>* x, std::complex<R>* y,
@@ -321,7 +326,8 @@ void apply_blocked(const ChebyshevRecurrence<R>& rec,
   const std::size_t d = rec.rows;
   const std::size_t max_width = block_width(count, available_workers());
   const std::size_t blocks = (count + max_width - 1) / max_width;
-  const bool parallel_rows = blocks == 1;
+  const bool parallel_rows =
+      blocks == 1 && rec.offsets[rec.rows] >= kRowParallelMinNonzeros;
   const auto run_blocks = [&](std::size_t lo, std::size_t hi) {
     std::vector<std::complex<R>> work(4 * d * max_width);
     std::complex<R>* xb = work.data();

@@ -89,19 +89,19 @@ class SparseExpOperator final : public LinearOperator {
   std::size_t dimension() const override { return a_->rows(); }
   std::string name() const override { return "chebyshev-exp"; }
 
-  /// The batch path at count 1 (its CSR passes split across rows above
-  /// 4096 rows).
+  /// The batch path at count 1 (its CSR passes split across rows from
+  /// 2^16 stored nonzeros).
   void apply(const std::complex<double>* x,
              std::complex<double>* y) const override;
 
   /// Runs one Chebyshev recurrence per block of up to eight vectors,
   /// transposed into an interleaved [d × width] layout so every CSR entry is
   /// loaded once per block; a trailing partial block runs at its own width.
-  /// Chunks of blocks run on the shared pool, and a batch of fewer than
+  /// Pieces of blocks run on the shared pool, and a batch of fewer than
   /// eight vectors per worker narrows its blocks so every worker gets the
   /// same number; a single vector splits its CSR passes across rows
-  /// instead.  Each vector's result is bit-identical to applying it alone,
-  /// at every SIMD level.
+  /// instead once the matrix holds 2^16 nonzeros.  Each vector's result is
+  /// bit-identical to applying it alone, at every SIMD level.
   void apply_batch(const std::complex<double>* x, std::complex<double>* y,
                    std::size_t count) const override;
 

@@ -39,6 +39,10 @@ class LinearOperator {
   /// Applies the operator to \p count consecutive blocks (x and y hold
   /// count·dimension() scalars).  The default loops over apply(); heavy
   /// operators override this to share setup and parallelize across blocks.
+  /// A block's output bytes must depend only on its own input bytes, never
+  /// on \p count or on its position in the batch, on both rails: the
+  /// statevector engine applies each distinct block once and copies the
+  /// result to the blocks equal to it.
   virtual void apply_batch(const std::complex<double>* x,
                            std::complex<double>* y, std::size_t count) const {
     const std::size_t d = dimension();

@@ -443,6 +443,10 @@ std::size_t ExecutionPlan::memory_bytes() const {
             scratch_.packed_in_f32.capacity() +
             scratch_.packed_out_f32.capacity()) *
            sizeof(std::complex<float>);
+  bytes += scratch_.block_hashes.capacity() * sizeof(std::uint64_t) +
+           (scratch_.hash_slots.capacity() +
+            scratch_.block_source.capacity()) *
+               sizeof(std::uint32_t);
   return bytes;
 }
 

@@ -192,14 +192,21 @@ struct CompilerStats {
   std::string to_string() const;
 };
 
-/// Reusable buffers owned by a plan: gather/scatter block scratch and the
-/// operator batch buffers.  Grown on first use, then reused by every
-/// subsequent execution of the plan.
+/// Reusable buffers owned by a plan: gather/scatter block scratch, the
+/// operator batch buffers and the operator kernel's deduplication tables.
+/// Grown on first use, then reused by every subsequent execution of the
+/// plan.
 struct ExecutionScratch {
   std::vector<Amplitude> block;
   std::vector<Amplitude> block_out;  ///< vectorized block-apply output rows
-  std::vector<Amplitude> packed_in;
-  std::vector<Amplitude> packed_out;
+  std::vector<Amplitude> packed_in;   ///< distinct gathered blocks
+  std::vector<Amplitude> packed_out;  ///< the operator applied to them
+  /// Deduplication of an operator batch (both precisions): the hash of each
+  /// distinct block, an open-addressing table of distinct indices + 1 (0 =
+  /// empty), and for each gathered block the distinct block it equals.
+  std::vector<std::uint64_t> block_hashes;
+  std::vector<std::uint32_t> hash_slots;
+  std::vector<std::uint32_t> block_source;
   // complex64 mirrors used by the float-precision executors (the plan does
   // not know the precision of the engine that will run it).
   std::vector<std::complex<float>> block_f32;

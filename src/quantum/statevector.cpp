@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "common/telemetry.hpp"
 #include "quantum/executor.hpp"
 #include "quantum/register_layout.hpp"
 #include "quantum/simd_kernels.hpp"
@@ -29,31 +30,12 @@ constexpr std::uint64_t kMinSimdRun = 4;
 
 /// Reusable per-thread buffers for the non-plan entry points: apply_unitary
 /// and apply_operator used to allocate their gather/scatter scratch on every
-/// call; these persist for the thread's lifetime.  Plan execution uses the
-/// plan's own arena, not these.  Templated over the amplitude type: each
-/// engine precision owns its buffers.
-template <typename C>
-std::vector<C>& thread_block_scratch() {
-  thread_local std::vector<C> buffer;
-  return buffer;
-}
-
-template <typename C>
-std::vector<C>& thread_block_out() {
-  thread_local std::vector<C> buffer;
-  return buffer;
-}
-
-template <typename C>
-std::vector<C>& thread_packed_in() {
-  thread_local std::vector<C> buffer;
-  return buffer;
-}
-
-template <typename C>
-std::vector<C>& thread_packed_out() {
-  thread_local std::vector<C> buffer;
-  return buffer;
+/// call; this arena persists for the thread's lifetime.  Plan execution
+/// uses the plan's own arena, not this one.  It holds both precisions'
+/// buffers, like a plan's.
+ExecutionScratch& thread_scratch() {
+  thread_local ExecutionScratch scratch;
+  return scratch;
 }
 
 template <typename C>
@@ -97,6 +79,70 @@ inline void operator_apply_batch(const LinearOperator& op,
                                  const std::complex<float>* in,
                                  std::complex<float>* out, std::size_t count) {
   op.apply_batch_f32(in, out, count);
+}
+
+/// 64-bit hash of \p bytes (a multiple of 8, as every amplitude block is):
+/// four multiply-rotate lanes over 8-byte words, then a final avalanche,
+/// so the low bits that index the table depend on every input bit.  Equal
+/// hashes are confirmed with memcmp; the hash only has to be fast.
+std::uint64_t block_hash(const unsigned char* bytes, std::size_t size) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  const auto mix = [](std::uint64_t h, const unsigned char* word) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, word, sizeof(w));
+    return (((h << 5) | (h >> 59)) ^ w) * kMul;
+  };
+  std::uint64_t h0 = 1, h1 = 2, h2 = 3, h3 = 4;
+  std::size_t i = 0;
+  for (; i + 32 <= size; i += 32) {
+    h0 = mix(h0, bytes + i);
+    h1 = mix(h1, bytes + i + 8);
+    h2 = mix(h2, bytes + i + 16);
+    h3 = mix(h3, bytes + i + 24);
+  }
+  for (; i + 8 <= size; i += 8) h0 = mix(h0, bytes + i);
+  std::uint64_t h = h0 ^ ((h1 << 16) | (h1 >> 48)) ^
+                    ((h2 << 32) | (h2 >> 32)) ^ ((h3 << 48) | (h3 >> 16));
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// Sizes the deduplication tables for a batch of \p count blocks and
+/// empties the hash table (at most half full, so probes stay short).
+void reset_dedup(ExecutionScratch& s, std::size_t count) {
+  std::size_t slots = 1;
+  while (slots < 2 * count) slots <<= 1;
+  s.hash_slots.assign(slots, 0);
+  s.block_hashes.resize(count);
+  s.block_source.resize(count);
+}
+
+/// Looks up the block just gathered at distinct position \p distinct of
+/// \p blocks (each \p block_bytes long) among the distinct blocks before
+/// it.  Returns the position of the byte-identical earlier block, or
+/// \p distinct after recording the block as new.
+std::size_t find_or_add_block(ExecutionScratch& s, const unsigned char* blocks,
+                              std::size_t block_bytes, std::size_t distinct) {
+  const unsigned char* candidate = blocks + distinct * block_bytes;
+  const std::uint64_t h = block_hash(candidate, block_bytes);
+  const std::size_t mask = s.hash_slots.size() - 1;
+  for (std::size_t slot = h & mask;; slot = (slot + 1) & mask) {
+    const std::uint32_t entry = s.hash_slots[slot];
+    if (entry == 0) {
+      s.hash_slots[slot] = static_cast<std::uint32_t>(distinct + 1);
+      s.block_hashes[distinct] = h;
+      return distinct;
+    }
+    const std::size_t earlier = entry - 1;
+    if (s.block_hashes[earlier] == h &&
+        std::memcmp(blocks + earlier * block_bytes, candidate,
+                    block_bytes) == 0)
+      return earlier;
+  }
 }
 
 }  // namespace
@@ -209,9 +255,10 @@ void BasicStatevector<Real>::apply_unitary(
                "unitary shape does not match target count");
   const TargetLayout layout =
       build_target_layout(targets, controls, num_qubits_);
+  ExecutionScratch& scratch = thread_scratch();
   block_kernel(cast_matrix<Real>(u, thread_matrix_scratch<C>()), layout.tmask,
                layout.cmask, block_offsets(layout.local_bit_mask),
-               thread_block_scratch<C>(), thread_block_out<C>());
+               scratch_block<Real>(scratch), scratch_block_out<Real>(scratch));
 }
 
 template <typename Real>
@@ -258,16 +305,19 @@ void BasicStatevector<Real>::apply_operator(
 
   const std::vector<std::uint64_t> bases =
       enumerate_block_bases(dimension(), layout.tmask, layout.cmask);
-  operator_kernel(op, contiguous, offset, bases, thread_packed_in<C>(),
-                  thread_packed_out<C>());
+  ExecutionScratch& scratch = thread_scratch();
+  operator_kernel(op, contiguous, offset, bases, scratch);
   // Reuse is worth keeping only at moderate size: the batch buffers grow to
   // the ~64 MB batch cap on large states, and a thread_local would pin that
   // for the thread's lifetime.  (Plan execution bounds the same buffers to
   // the plan's lifetime via its arena instead.)
   constexpr std::size_t kRetainedAmplitudeCap = std::size_t{1} << 18;
-  if (thread_packed_in<C>().capacity() > kRetainedAmplitudeCap) {
-    thread_packed_in<C>() = {};
-    thread_packed_out<C>() = {};
+  if (scratch_packed_in<Real>(scratch).capacity() > kRetainedAmplitudeCap) {
+    scratch_packed_in<Real>(scratch) = {};
+    scratch_packed_out<Real>(scratch) = {};
+    scratch.block_hashes = {};
+    scratch.hash_slots = {};
+    scratch.block_source = {};
   }
 }
 
@@ -275,43 +325,64 @@ template <typename Real>
 void BasicStatevector<Real>::operator_kernel(
     const LinearOperator& op, bool contiguous,
     const std::vector<std::uint64_t>& offset,
-    const std::vector<std::uint64_t>& bases, std::vector<C>& packed_in,
-    std::vector<C>& packed_out) {
+    const std::vector<std::uint64_t>& bases, ExecutionScratch& scratch) {
   const std::uint64_t block = op.dimension();
+  const std::size_t block_bytes = static_cast<std::size_t>(block) * sizeof(C);
   // Batch blocks through packed buffers so the operator can amortize setup
   // and parallelize across blocks; the batch cap bounds the extra memory at
   // ~2×64 MB regardless of register width.
   constexpr std::uint64_t kBatchAmplitudeCap = std::uint64_t{1} << 22;
   const std::size_t blocks_per_batch = static_cast<std::size_t>(
       std::max<std::uint64_t>(1, kBatchAmplitudeCap / block));
+  std::vector<C>& packed_in = scratch_packed_in<Real>(scratch);
+  std::vector<C>& packed_out = scratch_packed_out<Real>(scratch);
   C* amp = amplitudes_.data();
   for (std::size_t first = 0; first < bases.size();
        first += blocks_per_batch) {
     const std::size_t count =
         std::min(blocks_per_batch, bases.size() - first);
+    // Gather each block into the next free distinct slot and keep it only
+    // if no earlier block has the same bytes.  apply_batch gives a block
+    // the same bytes at any batch width or position, so equal inputs get
+    // equal outputs and each duplicate takes its twin's result.  (A
+    // precision wire is still |+⟩ until its own power runs, so most QPE
+    // powers see many equal blocks.)
     packed_in.resize(count * block);
+    reset_dedup(scratch, count);
+    std::size_t distinct = 0;
+    for (std::size_t b = 0; b < count; ++b) {
+      const std::uint64_t base = bases[first + b];
+      C* slot = packed_in.data() + distinct * block;
+      if (contiguous) {
+        std::memcpy(slot, amp + base, block_bytes);
+      } else {
+        for (std::uint64_t l = 0; l < block; ++l)
+          slot[l] = amp[base | offset[l]];
+      }
+      const std::size_t source = find_or_add_block(
+          scratch, reinterpret_cast<const unsigned char*>(packed_in.data()),
+          block_bytes, distinct);
+      scratch.block_source[b] = static_cast<std::uint32_t>(source);
+      if (source == distinct) ++distinct;
+    }
+    // Sized for every block, not only the distinct ones: the distinct
+    // count grows power by power (1/4, 1/2, 1 of the blocks at t = 3), and
+    // regrowing the buffer each time raised cold-features' peak RSS by
+    // 2.4 MiB.
     packed_out.resize(count * block);
+    operator_apply_batch(op, packed_in.data(), packed_out.data(), distinct);
     for (std::size_t b = 0; b < count; ++b) {
       const std::uint64_t base = bases[first + b];
+      const C* result = packed_out.data() + scratch.block_source[b] * block;
       if (contiguous) {
-        std::memcpy(packed_in.data() + b * block, amp + base,
-                    block * sizeof(C));
+        std::memcpy(amp + base, result, block_bytes);
       } else {
         for (std::uint64_t l = 0; l < block; ++l)
-          packed_in[b * block + l] = amp[base | offset[l]];
+          amp[base | offset[l]] = result[l];
       }
     }
-    operator_apply_batch(op, packed_in.data(), packed_out.data(), count);
-    for (std::size_t b = 0; b < count; ++b) {
-      const std::uint64_t base = bases[first + b];
-      if (contiguous) {
-        std::memcpy(amp + base, packed_out.data() + b * block,
-                    block * sizeof(C));
-      } else {
-        for (std::uint64_t l = 0; l < block; ++l)
-          amp[base | offset[l]] = packed_out[b * block + l];
-      }
-    }
+    QTDA_COUNTER_ADD("exec.operator.rhs", count);
+    QTDA_COUNTER_ADD("exec.operator.rhs_skipped", count - distinct);
   }
 }
 
@@ -427,8 +498,7 @@ void BasicStatevector<Real>::apply_plan_op(const CompiledOp& op,
       break;
     case CompiledOp::Kind::kOperator:
       operator_kernel(*op.gate.op, op.contiguous, op.offsets, op.bases,
-                      scratch_packed_in<Real>(scratch),
-                      scratch_packed_out<Real>(scratch));
+                      scratch);
       break;
   }
 }

@@ -98,8 +98,12 @@ class BasicStatevector {
   /// apply_unitary), conditioned on controls.  Sub-register blocks are
   /// gathered into packed buffers and handed to the operator in batches, so
   /// nothing quadratic in the block dimension is allocated — this is the
-  /// execution path of the sparse QPE oracle.  The operator must be unitary
-  /// for the state to stay normalized.
+  /// execution path of the sparse QPE oracle.  A batch hands the operator
+  /// each distinct block once: blocks byte-identical to an earlier one
+  /// (found by hash, confirmed by memcmp) take its result, which is the
+  /// same bytes by the apply_batch contract.  The exec.operator.rhs and
+  /// exec.operator.rhs_skipped counters record gathered and skipped blocks.
+  /// The operator must be unitary for the state to stay normalized.
   void apply_operator(const LinearOperator& op,
                       const std::vector<std::size_t>& targets,
                       const std::vector<std::size_t>& controls = {});
@@ -159,7 +163,7 @@ class BasicStatevector {
   void operator_kernel(const LinearOperator& op, bool contiguous,
                        const std::vector<std::uint64_t>& offsets,
                        const std::vector<std::uint64_t>& bases,
-                       std::vector<C>& packed_in, std::vector<C>& packed_out);
+                       ExecutionScratch& scratch);
 
   std::size_t num_qubits_;
   std::vector<C> amplitudes_;
