@@ -1,15 +1,14 @@
 /// \file micro_compiler.cpp
 /// \brief google-benchmark microbenches for the circuit compiler.
 ///
-/// The headline pair is BM_QpeNetworkSweep (unfused, Arg 0) against
-/// BM_QpeNetworkSweepFused: the gate-dominated part of the paper's QPE
-/// network — H wall, controlled-phase oracle rungs, inverse QFT — executed
-/// gate by gate versus through a compiled plan with width-4 gate fusion.
-/// Every fused block collapses several full passes over the 2^n amplitudes
-/// into one.  BM_SparseQpeEstimate runs the whole sparse-oracle estimator
-/// end to end (compile-once ladder included), and BM_TrajectoryEnsemble
-/// measures the compile-once win of the noisy trajectory path (one plan,
-/// hundreds of trajectories — the noise slots keep RNG order identical).
+/// The headline pair is BM_QpeNetworkSweep against BM_QpeNetworkSweepFused:
+/// the gate-dominated part of the paper's QPE network — H wall,
+/// controlled-phase oracle rungs, inverse QFT — executed gate by gate (an
+/// unfused plan) versus through a plan with width-4 gate fusion.  Every
+/// fused block collapses several full passes over the 2^n amplitudes into
+/// one.  BM_SparseQpeEstimate runs the whole sparse-oracle estimator end to
+/// end (compile-once ladder included), and BM_TrajectoryEnsemble times a
+/// noisy trajectory ensemble over one noise-slot plan.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -50,10 +49,13 @@ Circuit qpe_network(std::size_t precision, std::size_t system) {
 void BM_QpeNetworkSweep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Circuit circuit = qpe_network(n / 2, n - n / 2);
+  CompilerOptions options;
+  options.fuse = false;
+  const ExecutionPlan plan = compile_circuit(circuit, options);
   Statevector psi(n);
   for (auto _ : state) {
     psi.set_basis_state(0);
-    psi.apply_circuit(circuit);
+    psi.apply_plan(plan);
     benchmark::DoNotOptimize(psi.amplitudes().data());
   }
   state.counters["gates"] = static_cast<double>(circuit.gate_count());
@@ -99,14 +101,10 @@ void BM_SparseQpeEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseQpeEstimate)->Arg(5)->Arg(6);
 
-/// Noisy trajectory ensemble over a compiled plan (Arg 1) versus re-walking
-/// the raw gate IR per trajectory (Arg 0).  Same circuit — the sparse-oracle
-/// QPE network the estimator actually runs under noise — same RNG draws,
-/// same physics; the delta is pure per-gate setup cost (matrix
-/// materialization, mask building, block-base enumeration, buffer
-/// allocation), paid once instead of once per trajectory.
+/// Noisy trajectory ensemble over one noise-slot plan: the sparse-oracle QPE
+/// network the estimator runs under noise, 100 trajectories per iteration
+/// sharing the plan's precompiled ops and scratch arena.
 void BM_TrajectoryEnsemble(benchmark::State& state) {
-  const bool compiled = state.range(0) == 1;
   constexpr std::size_t kTrajectories = 100;
   std::vector<Simplex> traj_edges;
   for (VertexId a = 0; a < 4; ++a)
@@ -127,9 +125,7 @@ void BM_TrajectoryEnsemble(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<double> mean(8, 0.0);
     for (std::size_t i = 0; i < kTrajectories; ++i) {
-      const Statevector psi = compiled
-                                  ? run_noisy_trajectory(plan, noise, rng)
-                                  : run_noisy_trajectory(circuit, noise, rng);
+      const Statevector psi = run_noisy_trajectory(plan, noise, rng);
       const auto marginal = psi.marginal_probabilities(measured);
       for (std::size_t m = 0; m < mean.size(); ++m) mean[m] += marginal[m];
     }
@@ -137,6 +133,6 @@ void BM_TrajectoryEnsemble(benchmark::State& state) {
   }
   state.counters["trajectories"] = static_cast<double>(kTrajectories);
 }
-BENCHMARK(BM_TrajectoryEnsemble)->Arg(0)->Arg(1);
+BENCHMARK(BM_TrajectoryEnsemble);
 
 }  // namespace

@@ -55,11 +55,14 @@ void BM_ExactChannelQpe(benchmark::State& state) {
   const Circuit circuit = qpe_circuit(vertices, 3);
   const NoiseModel noise{kSingleQubitError, kTwoQubitError};
   const std::vector<std::size_t> measured{0, 1, 2};
+  CompilerOptions compiler_options;
+  compiler_options.preserve_noise_slots = true;
+  const ExecutionPlan plan = compile_circuit(circuit, compiler_options);
   DensityMatrixBackend backend(circuit.num_qubits());
   Rng rng(7);
   for (auto _ : state) {
     backend.prepare_basis_state(0);
-    backend.apply_circuit_with_noise(circuit, noise, rng);
+    backend.apply_plan_with_noise(plan, noise, rng);
     const auto marginal = backend.marginal_probabilities(measured);
     benchmark::DoNotOptimize(marginal.data());
   }
@@ -74,8 +77,7 @@ void BM_TrajectoryEnsembleQpe(benchmark::State& state) {
   const NoiseModel noise{kSingleQubitError, kTwoQubitError};
   const std::vector<std::size_t> measured{0, 1, 2};
   // Compile once, run every trajectory off the plan — the production path
-  // of the trajectory estimator (noise slots keep the RNG order identical
-  // to the raw-IR walk).
+  // of the trajectory estimator.
   CompilerOptions compiler_options = compiler_options_from_env();
   compiler_options.preserve_noise_slots = true;
   const ExecutionPlan plan = compile_circuit(circuit, compiler_options);

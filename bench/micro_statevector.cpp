@@ -1,10 +1,10 @@
 /// \file micro_statevector.cpp
 /// \brief google-benchmark microbenches for the state-vector kernels.
 ///
-/// BM_GateSweepDense/q and BM_OperatorOracleDense/q run one QPE-shaped gate
-/// sweep and one controlled Chebyshev oracle through the statevector
-/// backend: the reference marks for parallelizing the engine's gate
-/// kernels.  BM_PurificationPrep/n runs the estimator's purification prep
+/// BM_GateSweepDense/q runs one QPE-shaped gate sweep (an unfused plan)
+/// through the statevector backend and BM_OperatorOracleDense/q one
+/// controlled Chebyshev oracle on a random state: the reference marks for
+/// parallelizing the engine's gate kernels.  BM_PurificationPrep/n runs the estimator's purification prep
 /// and precision Hadamards as a compiled plan at the perfbench register
 /// sizes, the single-qubit layer of every purified estimate.  The operator
 /// kernel applies its oracle once per distinct block; the two ends of that
@@ -59,8 +59,11 @@ void BM_GateSweepDense(benchmark::State& state) {
   const auto q = static_cast<std::size_t>(state.range(0));
   StatevectorBackend backend(q);
   const Circuit circuit = sweep_circuit(q);
+  CompilerOptions unfused;
+  unfused.fuse = false;
+  const ExecutionPlan plan = compile_circuit(circuit, unfused);
   for (auto _ : state) {
-    backend.apply_circuit(circuit);
+    backend.apply_plan(plan);
     benchmark::DoNotOptimize(backend.state().amplitudes().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -69,16 +72,25 @@ void BM_GateSweepDense(benchmark::State& state) {
 }
 BENCHMARK(BM_GateSweepDense)->DenseRange(12, 16, 2);
 
+/// A random q-qubit state (seeded, normalized) with one controlled oracle
+/// over the q − 2 system wires below 2 precision wires: two distinct
+/// blocks of 2^(q−2) amplitudes per call.
 void BM_OperatorOracleDense(benchmark::State& state) {
   const auto q = static_cast<std::size_t>(state.range(0));
   const std::size_t m = q - 2;  // system register below 2 precision wires
-  StatevectorBackend backend(q);
+  Statevector sv(q);
+  Rng rng(2024);
+  std::vector<Amplitude> amplitudes(sv.dimension());
+  for (Amplitude& a : amplitudes) a = {rng.normal(), rng.normal()};
+  sv.set_amplitudes(std::move(amplitudes));
+  sv.normalize();
   const SparseExpOperator op(tridiagonal_hamiltonian(m), 1.0, 0.0, 4.0);
   std::vector<std::size_t> targets;
   for (std::size_t w = 2; w < q; ++w) targets.push_back(w);
   for (auto _ : state) {
-    backend.apply_operator(op, targets, {0});
-    benchmark::DoNotOptimize(backend.state().amplitudes().data());
+    sv.apply_operator(op, targets, {0});
+    benchmark::DoNotOptimize(sv.amplitudes().data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_OperatorOracleDense)->DenseRange(12, 14, 2);

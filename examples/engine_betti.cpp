@@ -55,19 +55,24 @@ bool verify_trajectory_convergence(const qtda::Circuit& circuit,
   for (std::size_t t = 0; t < precision_wires.size(); ++t)
     precision_wires[t] = t;
 
+  // One noise-slot plan serves the exact evolution and every trajectory.
+  CompilerOptions compiler_options;
+  compiler_options.preserve_noise_slots = true;
+  const ExecutionPlan plan = compile_circuit(circuit, compiler_options);
+
   // Built directly (not through make_simulator): this check is *about* the
   // exact-channel engine, so a QTDA_SIMULATOR override must not redirect it.
   DensityMatrixBackend backend(circuit.num_qubits());
   Rng channel_rng(options.seed);  // untouched: channels are exact
   backend.prepare_basis_state(0);
-  backend.apply_circuit_with_noise(circuit, options.noise, channel_rng);
+  backend.apply_plan_with_noise(plan, options.noise, channel_rng);
   const std::vector<double> exact =
       backend.marginal_probabilities(precision_wires);
 
   Rng rng(options.seed + 1);
   std::vector<double> sum(exact.size(), 0.0), sum_sq(exact.size(), 0.0);
   for (std::size_t i = 0; i < trajectories; ++i) {
-    const Statevector psi = run_noisy_trajectory(circuit, options.noise, rng);
+    const Statevector psi = run_noisy_trajectory(plan, options.noise, rng);
     const auto marginal = psi.marginal_probabilities(precision_wires);
     for (std::size_t m = 0; m < marginal.size(); ++m) {
       sum[m] += marginal[m];

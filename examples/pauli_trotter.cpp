@@ -12,6 +12,7 @@
 #include "core/scaling.hpp"
 #include "linalg/matrix_exp.hpp"
 #include "linalg/matrix_ops.hpp"
+#include "quantum/compiler.hpp"
 #include "quantum/executor.hpp"
 #include "quantum/optimizer.hpp"
 #include "quantum/pauli.hpp"
@@ -52,12 +53,15 @@ int main() {
     for (const std::size_t steps : {1u, 4u, 16u}) {
       const Circuit circuit =
           trotter_circuit(hamiltonian, 1.0, {steps, order}, 3);
+      CompilerOptions unfused;
+      unfused.fuse = false;
+      const ExecutionPlan plan = compile_circuit(circuit, unfused);
       // Probe the synthesized unitary column by column.
       double worst = 0.0;
       for (std::uint64_t col = 0; col < 8; ++col) {
         Statevector s(3);
         s.set_basis_state(col);
-        s.apply_circuit(circuit);
+        s.apply_plan(plan);
         for (std::uint64_t row = 0; row < 8; ++row)
           worst = std::max(worst, std::abs(s.amplitude(row) - exact(row, col)));
       }

@@ -119,8 +119,8 @@ struct BettiEstimate {
 
 /// The compile policy of the estimator's execution stage: environment-driven
 /// fusion knobs (QTDA_FUSE / QTDA_FUSE_WIDTH), with noise slots preserved
-/// whenever the noise model is active so error placement and RNG order match
-/// the uncompiled walk.  Exposed so stats/diagnostic surfaces report the
+/// whenever the noise model is active so error placement and RNG order are
+/// those of a gate-by-gate walk.  Exposed so stats/diagnostic surfaces report the
 /// plan the estimator actually runs instead of re-deriving the policy.
 CompilerOptions estimator_compiler_options(const NoiseModel& noise);
 

@@ -4,9 +4,13 @@
 /// The estimator and pipeline drive simulations through this interface
 /// instead of a concrete Statevector, so alternative engines — such as the
 /// exact density-matrix backend for noise studies — can drop in without
-/// touching the algorithm layer.  The contract is deliberately small:
-/// prepare a basis state, apply gates/circuits, apply a matrix-free
-/// operator to a sub-register, inject depolarizing noise, and sample.
+/// touching the algorithm layer.  The contract is deliberately small and
+/// plan-only: prepare a basis state, execute a compiled ExecutionPlan
+/// (quantum/compiler.hpp) with or without depolarizing noise, and read
+/// marginals or sample.  A Circuit runs by compiling it first (fusion off
+/// for the gate-by-gate arithmetic, preserve_noise_slots for noise); the
+/// plan walks themselves live in the engines, which the backends forward
+/// to.
 ///
 /// Every engine exists at two precisions (quantum/precision.hpp): the
 /// backend classes are templated over the amplitude scalar and the factory
@@ -22,8 +26,6 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "linalg/linear_operator.hpp"
-#include "quantum/circuit.hpp"
 #include "quantum/compiler.hpp"
 #include "quantum/density_matrix.hpp"
 #include "quantum/noise.hpp"
@@ -66,58 +68,27 @@ class SimulatorBackend {
   /// Resets the state to the computational basis state |index⟩.
   virtual void prepare_basis_state(std::uint64_t index) = 0;
 
-  /// Applies one gate from the circuit IR (named, dense or operator kind).
-  virtual void apply_gate(const Gate& gate) = 0;
-
-  /// Applies a full circuit including its global phase.
-  virtual void apply_circuit(const Circuit& circuit) = 0;
-
-  /// Multiplies the state by e^{iφ} (a no-op for density-matrix engines,
-  /// where the phase cancels on ρ).
-  virtual void apply_global_phase(double phi) = 0;
-
-  /// Executes a compiled plan (quantum/compiler.hpp), including its global
-  /// phase.  The default walks the plan's ops through apply_gate — every
-  /// backend gets gate fusion and the precompiled matrices for free; dense
-  /// engines override with a masks-and-arena fast path.  One plan may be
-  /// reused across many executions (that is the point), but only one
+  /// Executes a compiled plan, including its global phase.  One plan may
+  /// be reused across many executions (that is the point), but only one
   /// executor may run it at a time: the scratch arena is shared.
-  virtual void apply_plan(const ExecutionPlan& plan);
+  virtual void apply_plan(const ExecutionPlan& plan) = 0;
 
-  /// Noisy counterpart of apply_plan: the plan must have been compiled with
-  /// preserve_noise_slots, so each op carries the touched-qubit slot of its
-  /// source gate and the walk keeps apply_circuit_with_noise's exact error
-  /// placement and RNG consumption order while skipping all per-gate setup.
-  /// The global phase is dropped, as in apply_circuit_with_noise.
-  virtual void apply_plan_with_noise(const ExecutionPlan& plan,
-                                     const NoiseModel& noise, Rng& rng);
-
-  /// Applies a matrix-free operator to the ordered target sub-register
-  /// (MSB-first convention of apply_unitary), conditioned on controls.
-  virtual void apply_operator(const LinearOperator& op,
-                              const std::vector<std::size_t>& targets,
-                              const std::vector<std::size_t>& controls) = 0;
-
-  /// One stochastic depolarizing event on \p qubit with probability \p p
-  /// (trajectory noise; exact-channel backends may implement it exactly).
-  virtual void apply_depolarizing(std::size_t qubit, double probability,
-                                  Rng& rng) = 0;
-
-  /// True when apply_depolarizing applies the exact channel (deterministic
-  /// — the Rng is not consumed), so a single noisy evolution already yields
-  /// the full ensemble state and callers can draw every shot from it instead
-  /// of re-running one trajectory per shot.
-  virtual bool exact_channels() const { return false; }
-
-  /// Applies the circuit with the depolarizing model injected after each
-  /// gate on every touched qubit (run_noisy_trajectory's error placement and
-  /// RNG consumption order) to the *current* state — callers prepare the
-  /// initial state first.  The circuit's global phase is dropped: it is
+  /// Noisy counterpart of apply_plan on the *current* state (callers
+  /// prepare it first): the plan must have been compiled with
+  /// preserve_noise_slots, and after each op one depolarizing event runs
+  /// per touched qubit of its source gate — targets before controls, at
+  /// the two-qubit strength when the gate touched ≥ 2 wires.  Trajectory
+  /// backends sample one stochastic trajectory; exact-channel backends
+  /// evolve the ensemble itself.  The global phase is dropped: it is
   /// unobservable through this interface's measurements and cancels on ρ.
-  /// Trajectory backends sample one stochastic trajectory; exact-channel
-  /// backends evolve the ensemble itself.
-  virtual void apply_circuit_with_noise(const Circuit& circuit,
-                                        const NoiseModel& noise, Rng& rng);
+  virtual void apply_plan_with_noise(const ExecutionPlan& plan,
+                                     const NoiseModel& noise, Rng& rng) = 0;
+
+  /// True when apply_plan_with_noise applies the exact channels
+  /// (deterministic — the Rng is not consumed), so a single noisy
+  /// evolution already yields the full ensemble state and callers can draw
+  /// every shot from it instead of re-running one trajectory per shot.
+  virtual bool exact_channels() const { return false; }
 
   /// Marginal distribution over an ordered qubit subset (MSB-first).
   virtual std::vector<double> marginal_probabilities(
@@ -139,19 +110,9 @@ class BasicStatevectorBackend final : public SimulatorBackend {
   std::size_t num_qubits() const override { return state_.num_qubits(); }
   Precision precision() const override { return precision_of<Real>(); }
   void prepare_basis_state(std::uint64_t index) override;
-  void apply_gate(const Gate& gate) override;
-  void apply_circuit(const Circuit& circuit) override;
-  void apply_global_phase(double phi) override;
-  /// Fast path: precomputed masks/offsets + the plan's scratch arena — no
-  /// per-gate validation, matrix building, or allocation.
   void apply_plan(const ExecutionPlan& plan) override;
   void apply_plan_with_noise(const ExecutionPlan& plan,
                              const NoiseModel& noise, Rng& rng) override;
-  void apply_operator(const LinearOperator& op,
-                      const std::vector<std::size_t>& targets,
-                      const std::vector<std::size_t>& controls) override;
-  void apply_depolarizing(std::size_t qubit, double probability,
-                          Rng& rng) override;
   std::vector<double> marginal_probabilities(
       const std::vector<std::size_t>& qubits) const override;
   std::vector<std::uint64_t> sample(const std::vector<std::size_t>& qubits,
@@ -174,7 +135,7 @@ using StatevectorBackendF32 = BasicStatevectorBackend<float>;
 /// as U ⊗ conj(U) on the 2n-qubit vectorization; matrix-free operator gates
 /// stay matrix-free via the ConjugatedOperator adapter on the column
 /// register, so the sparse QPE oracle composes with exact noise.
-/// apply_depolarizing keeps the Rng signature of the contract but never
+/// apply_plan_with_noise keeps the Rng signature of the contract but never
 /// consumes it (exact_channels() returns true): one noisy evolution is the
 /// whole ensemble, and every shot samples from it.
 template <typename Real>
@@ -186,16 +147,9 @@ class BasicDensityMatrixBackend final : public SimulatorBackend {
   std::size_t num_qubits() const override { return state_.num_qubits(); }
   Precision precision() const override { return precision_of<Real>(); }
   void prepare_basis_state(std::uint64_t index) override;
-  void apply_gate(const Gate& gate) override;
-  void apply_circuit(const Circuit& circuit) override;
-  void apply_global_phase(double phi) override;
-  /// Plan execution with native one-pass DρD† diagonals.
   void apply_plan(const ExecutionPlan& plan) override;
-  void apply_operator(const LinearOperator& op,
-                      const std::vector<std::size_t>& targets,
-                      const std::vector<std::size_t>& controls) override;
-  void apply_depolarizing(std::size_t qubit, double probability,
-                          Rng& rng) override;
+  void apply_plan_with_noise(const ExecutionPlan& plan,
+                             const NoiseModel& noise, Rng& rng) override;
   bool exact_channels() const override { return true; }
   std::vector<double> marginal_probabilities(
       const std::vector<std::size_t>& qubits) const override;

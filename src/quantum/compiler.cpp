@@ -340,8 +340,7 @@ CompiledOp lower_cluster(const Cluster& cluster, std::size_t num_qubits) {
       op.gate.matrix(0, 0) = cluster.diag[0];
       op.gate.matrix(1, 1) = cluster.diag[1];
     } else {
-      // The matrix stays empty: engines run the table (dense_gate()
-      // densifies for the generic fallback only).
+      // The matrix stays empty: engines run the table.
       op.kind = CompiledOp::Kind::kDiagonal;
       op.diagonal = cluster.diag;
     }
@@ -364,23 +363,6 @@ bool fusion_pays_off(const Cluster& cluster) {
 }
 
 }  // namespace
-
-Gate CompiledOp::dense_gate() const {
-  if (kind != Kind::kDiagonal) return gate;
-  const std::uint64_t dim = diagonal.size();
-  // The built-in engines all execute the table natively; densifying a wide
-  // diagonal would allocate dim² entries, so the generic fallback is
-  // deliberately bounded.
-  QTDA_REQUIRE(dim <= 256,
-               "fused diagonal too wide to densify for the generic backend "
-               "path; override SimulatorBackend::apply_plan with native "
-               "diagonal execution, or compile with "
-               "CompilerOptions::diagonal_width <= 8");
-  Gate dense = gate;
-  dense.matrix = ComplexMatrix(dim, dim);
-  for (std::uint64_t a = 0; a < dim; ++a) dense.matrix(a, a) = diagonal[a];
-  return dense;
-}
 
 CompilerOptions compiler_options_from_env(CompilerOptions base) {
   if (const char* fuse = std::getenv("QTDA_FUSE");
@@ -593,7 +575,7 @@ ExecutionPlan compile_circuit(const Circuit& circuit,
   for (const Cluster& cluster : clusters) {
     if (cluster.passthrough || !fusion_pays_off(cluster)) {
       // Unprofitable clusters replay their members verbatim — fusion never
-      // makes a circuit slower than the uncompiled walk.
+      // makes a circuit slower than the unfused plan.
       for (const Gate& gate : cluster.gates) {
         CompiledOp op = lower_verbatim(gate, plan.num_qubits_);
         if (op.kind == CompiledOp::Kind::kOperator)

@@ -29,14 +29,16 @@
 ///    per gate (and nothing at all after the first execution).
 ///  * **Noise slots**: compiled with `preserve_noise_slots`, the plan keeps
 ///    one op per source gate and records each gate's touched qubits, so the
-///    noisy walk (for_each_gate_with_noise) keeps the *exact* error
-///    placement and RNG draw order of the uncompiled path while still
+///    noisy walk (executor.hpp's for_each_plan_op_with_noise) places one
+///    error event per touched qubit after each source gate — the error
+///    placement and RNG draw order of a gate-by-gate walk — while still
 ///    skipping all per-gate setup.
 ///
-/// Environment knobs (read by compiler_options_from_env): `QTDA_FUSE=0`
-/// disables fusion entirely — the plan then reproduces today's gate-by-gate
-/// arithmetic bit for bit — and `QTDA_FUSE_WIDTH` overrides the maximum
-/// fused support (default 4).
+/// Compiling is the only way to run a Circuit: with fusion off every gate
+/// lowers to one op whose arithmetic is the engines' gate primitive
+/// (apply_gate) bit for bit.  Environment knobs (read by
+/// compiler_options_from_env): `QTDA_FUSE=0` disables fusion entirely, and
+/// `QTDA_FUSE_WIDTH` overrides the maximum fused support (default 4).
 ///
 /// A plan is immutable and engine-agnostic; it may be executed many times
 /// (all QPE shots and all noise trajectories of an estimate reuse one
@@ -59,19 +61,17 @@ namespace qtda {
 /// Compilation knobs.
 struct CompilerOptions {
   /// Master fusion switch; off, every source gate lowers to exactly one op
-  /// with its original targets/controls — bit-identical to the uncompiled
-  /// walk.
+  /// with its original targets/controls — bit-identical to applying the
+  /// gates one by one through the engines' apply_gate.
   bool fuse = true;
   /// Maximum qubit support of a fused dense block (clamped to [1, 8];
   /// 2^k×2^k dense blocks).  Width 1 still merges runs of gates on one
   /// wire.
   std::size_t fuse_width = 4;
   /// Maximum qubit support of a fused diagonal (clamped to
-  /// [1, kMaxDiagonalWidth]).  Engines without native diagonal execution
-  /// (anything relying on the generic apply_plan fallback, which densifies
-  /// diagonals) should compile with ≤ 8.  The QTDA_FUSE_WIDTH override
-  /// lowers this bound too, so forcing width 1 really does approach the
-  /// per-gate walk.
+  /// [1, kMaxDiagonalWidth]).  Every engine executes the diagonal table
+  /// natively.  The QTDA_FUSE_WIDTH override lowers this bound too, so
+  /// forcing width 1 really does approach the per-gate walk.
   std::size_t diagonal_width = 12;
   /// Keep one op per source gate and record its noise slot (touched qubits,
   /// strength class) so noisy execution preserves the exact error placement
@@ -111,18 +111,11 @@ struct CompiledOp {
 
   Kind kind = Kind::kSingleQubit;
 
-  /// The op as an ordinary IR gate — the engine-agnostic representation
-  /// every SimulatorBackend::apply_gate understands (named single-qubit
-  /// gates are materialized to kUnitary so no engine rebuilds matrices per
-  /// application).  For kDiagonal ops the matrix is left empty — engines
-  /// execute the `diagonal` table directly; a generic fallback densifies on
-  /// demand via dense_gate().
+  /// The op as an ordinary IR gate — what the density-matrix engine's
+  /// apply_gate runs (named single-qubit gates are materialized to kUnitary
+  /// so no engine rebuilds matrices per application).  For kDiagonal ops
+  /// the matrix is left empty: engines execute the `diagonal` table.
   Gate gate;
-
-  /// The op as a directly executable gate: for kDiagonal, `gate` with its
-  /// dense 2^m×2^m matrix materialized from the table; otherwise `gate`
-  /// itself.  Only the engine-agnostic fallback path pays this.
-  Gate dense_gate() const;
 
   // -- precomputed execution data (dense-engine fast path) -------------------
   std::uint64_t tmask = 0;  ///< union of target bits
@@ -301,7 +294,7 @@ class ExecutionPlan {
   const std::vector<CompiledOp>& ops() const { return ops_; }
   const CompilerStats& stats() const { return stats_; }
   /// True when the plan was compiled with preserve_noise_slots — the
-  /// precondition of every *_with_noise execution path.
+  /// precondition of every apply_plan_with_noise walk.
   bool preserves_noise_slots() const { return noise_slots_; }
 
   /// The plan's scratch arena.  Mutable by design: executing a plan reuses
@@ -333,25 +326,5 @@ class ExecutionPlan {
 /// estimator does).
 ExecutionPlan compile_circuit(const Circuit& circuit,
                               const CompilerOptions& options);
-
-/// The compiled counterpart of noise.hpp's for_each_gate_with_noise: walks
-/// a noise-slot-preserving plan, invoking `apply_op(const CompiledOp&)` per
-/// op and `apply_error(qubit, probability)` for every touched qubit of its
-/// source gate (targets before controls, multi-qubit strength when the
-/// gate touched ≥ 2 wires).  Every noisy plan executor routes through this
-/// one walk, so the error placement and RNG draw order of the compiled and
-/// uncompiled paths cannot drift apart.
-template <typename NoiseModelT, typename ApplyOp, typename ApplyError>
-void for_each_plan_op_with_noise(const ExecutionPlan& plan,
-                                 const NoiseModelT& noise, ApplyOp&& apply_op,
-                                 ApplyError&& apply_error) {
-  for (const CompiledOp& op : plan.ops()) {
-    apply_op(op);
-    const double p =
-        op.noise_multi ? noise.two_qubit_error : noise.single_qubit_error;
-    if (p <= 0.0) continue;
-    for (std::size_t q : op.noise_qubits) apply_error(q, p);
-  }
-}
 
 }  // namespace qtda

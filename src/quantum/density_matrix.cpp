@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "quantum/executor.hpp"
 
 namespace qtda {
 
@@ -117,11 +118,36 @@ void BasicDensityMatrix<Real>::apply_operator(
 }
 
 template <typename Real>
-void BasicDensityMatrix<Real>::apply_circuit(const Circuit& circuit) {
-  QTDA_REQUIRE(circuit.num_qubits() == num_qubits_,
-               "circuit width mismatch");
-  for (const Gate& gate : circuit.gates()) apply_gate(gate);
+void BasicDensityMatrix<Real>::apply_plan_op(const CompiledOp& op) {
+  if (op.kind == CompiledOp::Kind::kDiagonal) {
+    // DρD† in one pass over vec(ρ), no dense 2^m×2^m fallback.
+    apply_diagonal(compiled_diagonal<Real>(op), op.diag_extract);
+  } else {
+    apply_gate(op.gate);
+  }
+}
+
+template <typename Real>
+void BasicDensityMatrix<Real>::apply_plan(const ExecutionPlan& plan) {
+  QTDA_REQUIRE(plan.num_qubits() == num_qubits_,
+               "plan width " << plan.num_qubits()
+                             << " does not match density matrix width "
+                             << num_qubits_);
+  for_each_plan_op_accounted(
+      plan, [&](const CompiledOp& op) { apply_plan_op(op); });
   // e^{iφ}ρe^{−iφ} = ρ: the global phase cancels.
+}
+
+template <typename Real>
+void BasicDensityMatrix<Real>::apply_plan_with_noise(const ExecutionPlan& plan,
+                                                     const NoiseModel& noise) {
+  QTDA_REQUIRE(plan.num_qubits() == num_qubits_,
+               "plan width " << plan.num_qubits()
+                             << " does not match density matrix width "
+                             << num_qubits_);
+  for_each_plan_op_with_noise(
+      plan, noise, [&](const CompiledOp& op) { apply_plan_op(op); },
+      [&](std::size_t q, double p) { apply_depolarizing(q, p); });
 }
 
 template <typename Real>
@@ -184,16 +210,6 @@ void BasicDensityMatrix<Real>::apply_depolarizing(std::size_t qubit,
 }
 
 template <typename Real>
-void BasicDensityMatrix<Real>::apply_circuit_with_noise(
-    const Circuit& circuit, const NoiseModel& noise) {
-  QTDA_REQUIRE(circuit.num_qubits() == num_qubits_,
-               "circuit width mismatch");
-  for_each_gate_with_noise(
-      circuit, noise, [&](const Gate& gate) { apply_gate(gate); },
-      [&](std::size_t q, double p) { apply_depolarizing(q, p); });
-}
-
-template <typename Real>
 double BasicDensityMatrix<Real>::trace() const {
   double t = 0.0;
   for (std::uint64_t r = 0; r < dimension(); ++r)
@@ -249,10 +265,13 @@ template class BasicDensityMatrix<float>;
 DensityMatrix run_circuit_density(const Circuit& circuit,
                                   const NoiseModel& noise) {
   DensityMatrix rho(circuit.num_qubits());
+  CompilerOptions options;
   if (noise.is_noiseless()) {
-    rho.apply_circuit(circuit);
+    options.fuse = false;
+    rho.apply_plan(compile_circuit(circuit, options));
   } else {
-    rho.apply_circuit_with_noise(circuit, noise);
+    options.preserve_noise_slots = true;
+    rho.apply_plan_with_noise(compile_circuit(circuit, options), noise);
   }
   return rho;
 }

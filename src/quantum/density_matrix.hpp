@@ -27,6 +27,7 @@
 #include "common/random.hpp"
 #include "linalg/linear_operator.hpp"
 #include "quantum/circuit.hpp"
+#include "quantum/compiler.hpp"
 #include "quantum/noise.hpp"
 #include "quantum/statevector.hpp"
 
@@ -64,8 +65,15 @@ class BasicDensityMatrix {
   /// Applies U·ρ·U† for a circuit-IR gate (named, dense or matrix-free
   /// operator kind, with controls).
   void apply_gate(const Gate& gate);
-  /// Applies all gates of a circuit (the global phase cancels on ρ).
-  void apply_circuit(const Circuit& circuit);
+  /// Executes a compiled plan (quantum/compiler.hpp): fused diagonals as
+  /// one-pass DρD†, every other op through apply_gate.  The global phase
+  /// cancels on ρ.
+  void apply_plan(const ExecutionPlan& plan);
+  /// Executes a plan compiled with preserve_noise_slots with the noise
+  /// model applied exactly after each op, on every touched qubit of its
+  /// source gate (the error placement of run_noisy_trajectory).
+  void apply_plan_with_noise(const ExecutionPlan& plan,
+                             const NoiseModel& noise);
   /// U·ρ·U† for a matrix-free operator over the ordered target sub-register
   /// (MSB-first convention of Statevector::apply_operator), conditioned on
   /// controls: the operator runs verbatim on the row register and as
@@ -82,10 +90,6 @@ class BasicDensityMatrix {
   void apply_diagonal(const C* table, const DiagonalExtract& extract);
   /// Exact depolarizing channel of strength p on one qubit.
   void apply_depolarizing(std::size_t qubit, double probability);
-  /// Applies a circuit with the noise model applied exactly after each gate
-  /// (same error placement as run_noisy_trajectory).
-  void apply_circuit_with_noise(const Circuit& circuit,
-                                const NoiseModel& noise);
 
   /// Tr ρ (1 for a valid state).
   double trace() const;
@@ -106,6 +110,9 @@ class BasicDensityMatrix {
   explicit BasicDensityMatrix(std::size_t num_qubits,
                               BasicStatevector<Real> vectorized);
 
+  /// One compiled op — the building block of both plan walks.
+  void apply_plan_op(const CompiledOp& op);
+
   std::size_t num_qubits_;
   // 2n qubits: row block [0, n), column block [n, 2n).
   BasicStatevector<Real> vectorized_;
@@ -119,7 +126,8 @@ using DensityMatrixF32 = BasicDensityMatrix<float>;
 extern template class BasicDensityMatrix<double>;
 extern template class BasicDensityMatrix<float>;
 
-/// Runs a circuit on |0…0⟩⟨0…0| with exact noise; convenience wrapper.
+/// Runs a circuit on |0…0⟩⟨0…0| with exact noise: compiled unfused, or with
+/// preserve_noise_slots when \p noise is not noiseless.
 DensityMatrix run_circuit_density(const Circuit& circuit,
                                   const NoiseModel& noise = {});
 

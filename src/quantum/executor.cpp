@@ -1,7 +1,5 @@
 #include "quantum/executor.hpp"
 
-#include "common/error.hpp"
-
 namespace qtda {
 
 namespace plan_accounting {
@@ -46,16 +44,10 @@ void record(const std::array<std::uint64_t, kNumKinds>& ns,
 }  // namespace plan_accounting
 
 Statevector run_circuit(const Circuit& circuit) {
+  CompilerOptions unfused;
+  unfused.fuse = false;
   Statevector state(circuit.num_qubits());
-  state.apply_circuit(circuit);
-  return state;
-}
-
-Statevector run_circuit_from_basis(const Circuit& circuit,
-                                   std::uint64_t initial_state) {
-  Statevector state(circuit.num_qubits());
-  state.set_basis_state(initial_state);
-  state.apply_circuit(circuit);
+  state.apply_plan(compile_circuit(circuit, unfused));
   return state;
 }
 
@@ -72,10 +64,13 @@ std::vector<std::uint64_t> sample_circuit_noisy(
   if (noise.is_noiseless())
     return sample_circuit(circuit, measured_qubits, shots, rng);
   QTDA_REQUIRE(!measured_qubits.empty(), "no measured qubits");
+  CompilerOptions options;
+  options.preserve_noise_slots = true;
+  const ExecutionPlan plan = compile_circuit(circuit, options);
   std::vector<std::uint64_t> counts(std::uint64_t{1} << measured_qubits.size(),
                                     0);
   for (std::size_t s = 0; s < shots; ++s) {
-    const Statevector state = run_noisy_trajectory(circuit, noise, rng);
+    const Statevector state = run_noisy_trajectory(plan, noise, rng);
     const auto one = state.sample_counts(measured_qubits, 1, rng);
     for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += one[i];
   }

@@ -1,6 +1,9 @@
 /// \file executor.hpp
-/// \brief Circuit execution and shot sampling (ideal and noisy), plus the
-/// telemetry-aware plan-op walk shared by every engine's apply_plan.
+/// \brief The plan-op walks every engine's apply_plan and
+/// apply_plan_with_noise run through (telemetry accounting, deadline
+/// checkpoints, noise placement), plus circuit execution and shot sampling
+/// (ideal and noisy) on top of them: a Circuit runs as an unfused plan, or
+/// as a noise-slot plan when noisy.
 #pragma once
 
 #include <array>
@@ -9,6 +12,7 @@
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "common/error.hpp"
 #include "common/random.hpp"
 #include "common/telemetry.hpp"
 #include "quantum/circuit.hpp"
@@ -65,12 +69,34 @@ void for_each_plan_op_accounted(const ExecutionPlan& plan, Fn&& fn) {
   plan_accounting::record(ns, ops);
 }
 
-/// Runs a circuit from |0…0⟩ and returns the final state.
-Statevector run_circuit(const Circuit& circuit);
+/// The noisy walk every noisy plan executor shares: walks a
+/// noise-slot-preserving plan through for_each_plan_op_accounted, invoking
+/// `apply_op(const CompiledOp&)` per op and then
+/// `apply_error(qubit, probability)` for every touched qubit of its source
+/// gate (targets before controls, two-qubit strength when the gate touched
+/// ≥ 2 wires).  Existing in one place only, the trajectory and
+/// exact-channel engines cannot drift apart in error placement or RNG draw
+/// order.  The error events count toward their op's exec.ns.* time.
+template <typename ApplyOp, typename ApplyError>
+void for_each_plan_op_with_noise(const ExecutionPlan& plan,
+                                 const NoiseModel& noise, ApplyOp&& apply_op,
+                                 ApplyError&& apply_error) {
+  QTDA_REQUIRE(plan.preserves_noise_slots(),
+               "noisy execution needs a plan compiled with "
+               "preserve_noise_slots (error placement would otherwise "
+               "change)");
+  for_each_plan_op_accounted(plan, [&](const CompiledOp& op) {
+    apply_op(op);
+    const double p =
+        op.noise_multi ? noise.two_qubit_error : noise.single_qubit_error;
+    if (p <= 0.0) return;
+    for (std::size_t q : op.noise_qubits) apply_error(q, p);
+  });
+}
 
-/// Runs from a given initial basis state.
-Statevector run_circuit_from_basis(const Circuit& circuit,
-                                   std::uint64_t initial_state);
+/// Runs a circuit from |0…0⟩ as an unfused plan and returns the final
+/// state (the gate-by-gate arithmetic, global phase included).
+Statevector run_circuit(const Circuit& circuit);
 
 /// Ideal sampling: one state-vector evolution, exact multinomial shots over
 /// the measured qubits (MSB-first outcome encoding).
@@ -78,9 +104,10 @@ std::vector<std::uint64_t> sample_circuit(
     const Circuit& circuit, const std::vector<std::size_t>& measured_qubits,
     std::size_t shots, Rng& rng);
 
-/// Noisy sampling by Monte-Carlo trajectories: each shot evolves its own
-/// trajectory with stochastic Pauli errors injected per gate, then draws one
-/// outcome.  Exact but O(shots · circuit) — use modest shot counts.
+/// Noisy sampling by Monte-Carlo trajectories: the circuit compiles once
+/// into a noise-slot plan, and each shot evolves its own trajectory with
+/// stochastic Pauli errors injected per gate, then draws one outcome.
+/// Exact but O(shots · circuit) — use modest shot counts.
 std::vector<std::uint64_t> sample_circuit_noisy(
     const Circuit& circuit, const std::vector<std::size_t>& measured_qubits,
     std::size_t shots, const NoiseModel& noise, Rng& rng);

@@ -3,9 +3,10 @@
 /// future-work axis.
 ///
 /// A depolarizing channel of strength p on a qubit applies a uniformly
-/// random non-identity Pauli with probability p.  The noisy executor
-/// inserts such errors after every gate, on every qubit the gate touches,
-/// with separate strengths for single- and multi-qubit gates (hardware
+/// random non-identity Pauli with probability p.  The noisy plan walk
+/// (executor.hpp's for_each_plan_op_with_noise) inserts such errors after
+/// every gate of a noise-slot plan, on every qubit the gate touches, with
+/// separate strengths for single- and multi-qubit gates (hardware
 /// two-qubit error rates are typically an order of magnitude worse).
 #pragma once
 
@@ -13,7 +14,6 @@
 
 #include "common/error.hpp"
 #include "common/random.hpp"
-#include "quantum/circuit.hpp"
 #include "quantum/compiler.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/statevector.hpp"
@@ -31,11 +31,10 @@ struct NoiseModel {
 };
 
 /// Applies one stochastic depolarizing event to \p qubit with probability
-/// \p probability (X, Y or Z uniformly when it fires).  Templated over the
-/// state (any state exposing apply_single_qubit — BasicStatevector at
-/// either precision) so the trajectory sampler and the statevector backend
-/// consume the RNG identically: one Bernoulli draw, then one uniform index
-/// when the error fires.
+/// \p probability (X, Y or Z uniformly when it fires): one Bernoulli draw,
+/// then one uniform index when the error fires.  Templated over the state
+/// (any state exposing apply_single_qubit — BasicStatevector at either
+/// precision).
 template <typename State>
 void maybe_apply_depolarizing(State& state, std::size_t qubit,
                               double probability, Rng& rng) {
@@ -55,37 +54,11 @@ void maybe_apply_depolarizing(State& state, std::size_t qubit,
   }
 }
 
-/// The error-placement policy shared by every noisy executor (trajectory
-/// sampler, exact density-matrix channel, backend default): after each gate,
-/// one depolarizing event per touched qubit — targets before controls — at
-/// the multi-qubit strength when the gate touches ≥ 2 wires.  Existing in
-/// one place only, the three executors cannot drift apart.
-/// \p apply_gate is invoked as apply_gate(const Gate&), \p apply_error as
-/// apply_error(qubit, probability).
-template <typename ApplyGate, typename ApplyError>
-void for_each_gate_with_noise(const Circuit& circuit, const NoiseModel& noise,
-                              ApplyGate&& apply_gate,
-                              ApplyError&& apply_error) {
-  for (const Gate& gate : circuit.gates()) {
-    apply_gate(gate);
-    const bool multi = gate.targets.size() + gate.controls.size() >= 2;
-    const double p = multi ? noise.two_qubit_error : noise.single_qubit_error;
-    if (p <= 0.0) continue;
-    for (std::size_t q : gate.targets) apply_error(q, p);
-    for (std::size_t q : gate.controls) apply_error(q, p);
-  }
-}
-
-/// Runs one noisy trajectory of the circuit from |0…0⟩.
-Statevector run_noisy_trajectory(const Circuit& circuit,
-                                 const NoiseModel& noise, Rng& rng);
-
-/// Compile-once variant for trajectory ensembles: the plan must have been
-/// compiled with preserve_noise_slots, so every trajectory reuses the
-/// precompiled ops and the plan's scratch arena instead of re-walking the
-/// raw gate IR (matrix construction, mask building, buffer allocation per
-/// gate per trajectory).  Error placement and RNG consumption are identical
-/// to the Circuit overload.
+/// Runs one noisy trajectory of a plan from |0…0⟩: the plan must have been
+/// compiled with preserve_noise_slots (compile a Circuit that way first),
+/// so every trajectory of an ensemble reuses the precompiled ops and the
+/// plan's scratch arena.  The walk is BasicStatevector::apply_plan_with_noise;
+/// the plan's global phase is applied after it.
 Statevector run_noisy_trajectory(const ExecutionPlan& plan,
                                  const NoiseModel& noise, Rng& rng);
 

@@ -2,7 +2,7 @@
 /// \brief Shared target/control mask building and block enumeration for the
 /// simulation engines.
 ///
-/// An unfused compiled plan replays the state vector's gate-by-gate walk
+/// An unfused compiled plan replays the state vector's gate primitives
 /// *bit for bit*, which starts with decomposing the register identically:
 /// the same target masks (MSB-first wire convention of types.hpp), the same
 /// local-offset tables, and the same block-column base enumeration, in the

@@ -8,6 +8,7 @@
 #include "common/parallel.hpp"
 #include "common/telemetry.hpp"
 #include "quantum/executor.hpp"
+#include "quantum/noise.hpp"
 #include "quantum/register_layout.hpp"
 #include "quantum/simd_kernels.hpp"
 
@@ -187,16 +188,6 @@ void BasicStatevector<Real>::apply_gate(const Gate& gate) {
     apply_single_qubit(gate.single_qubit_matrix(), gate.targets.at(0),
                        gate.controls);
   }
-}
-
-template <typename Real>
-void BasicStatevector<Real>::apply_circuit(const Circuit& circuit) {
-  QTDA_REQUIRE(circuit.num_qubits() == num_qubits_,
-               "circuit width " << circuit.num_qubits()
-                                << " does not match state width "
-                                << num_qubits_);
-  for (const Gate& gate : circuit.gates()) apply_gate(gate);
-  if (circuit.global_phase() != 0.0) apply_global_phase(circuit.global_phase());
 }
 
 template <typename Real>
@@ -472,6 +463,21 @@ void BasicStatevector<Real>::apply_plan(const ExecutionPlan& plan) {
   for_each_plan_op_accounted(
       plan, [&](const CompiledOp& op) { apply_plan_op(op, scratch); });
   if (plan.global_phase() != 0.0) apply_global_phase(plan.global_phase());
+}
+
+template <typename Real>
+void BasicStatevector<Real>::apply_plan_with_noise(const ExecutionPlan& plan,
+                                                   const NoiseModel& noise,
+                                                   Rng& rng) {
+  QTDA_REQUIRE(plan.num_qubits() == num_qubits_,
+               "plan width " << plan.num_qubits()
+                             << " does not match state width " << num_qubits_);
+  ExecutionScratch& scratch = plan.scratch();
+  for_each_plan_op_with_noise(
+      plan, noise, [&](const CompiledOp& op) { apply_plan_op(op, scratch); },
+      [&](std::size_t q, double p) {
+        maybe_apply_depolarizing(*this, q, p, rng);
+      });
 }
 
 template <typename Real>

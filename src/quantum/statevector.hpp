@@ -32,6 +32,8 @@
 
 namespace qtda {
 
+struct NoiseModel;  // quantum/noise.hpp (which includes this header)
+
 /// Widens an amplitude to the double boundary type (identity for double —
 /// the double engine's reductions are source-identical to the historical
 /// ones; the float engine widens per element and accumulates in double).
@@ -84,8 +86,6 @@ class BasicStatevector {
   // -- gate application -------------------------------------------------------
   /// Applies a named or dense gate (with controls) from the circuit IR.
   void apply_gate(const Gate& gate);
-  /// Applies every gate of a circuit, then its global phase.
-  void apply_circuit(const Circuit& circuit);
   /// 2×2 matrix on \p target, conditioned on all \p controls being 1.
   void apply_single_qubit(const ComplexMatrix& u, std::size_t target,
                           const std::vector<std::size_t>& controls = {});
@@ -110,12 +110,19 @@ class BasicStatevector {
   /// Executes a compiled plan (quantum/compiler.hpp), including its global
   /// phase: the fast path of the estimator — precomputed masks/offsets, no
   /// per-gate setup, scratch from the plan's arena.  With fusion disabled
-  /// the result is bit-identical to apply_circuit on the source circuit;
-  /// with fusion it agrees to ~1e-12 (dense blocks reassociate the
-  /// floating-point order).
+  /// the result is bit-identical to applying the source gates one by one
+  /// through apply_gate; with fusion it agrees to ~1e-12 (dense blocks
+  /// reassociate the floating-point order).
   void apply_plan(const ExecutionPlan& plan);
-  /// Executes one compiled op — the building block apply_plan and the noisy
-  /// per-op walks share.
+  /// One stochastic noisy trajectory of a plan compiled with
+  /// preserve_noise_slots, on the current state: after each op, one
+  /// depolarizing event per touched qubit of its source gate
+  /// (maybe_apply_depolarizing: one Bernoulli draw, then one uniform index
+  /// when it fires).  The global phase is dropped; run_noisy_trajectory
+  /// applies it after the walk.
+  void apply_plan_with_noise(const ExecutionPlan& plan,
+                             const NoiseModel& noise, Rng& rng);
+  /// Executes one compiled op — the building block of both plan walks.
   void apply_plan_op(const CompiledOp& op, ExecutionScratch& scratch);
   /// Multiplies the whole state by e^{iφ}.
   void apply_global_phase(double phi);
@@ -144,8 +151,8 @@ class BasicStatevector {
   Amplitude inner_product(const BasicStatevector& other) const;
 
  private:
-  /// Shared kernels: the legacy per-gate entry points and the compiled-plan
-  /// path both land here, so their arithmetic cannot drift (the root of the
+  /// Shared kernels: the per-gate primitives and the compiled-plan path
+  /// both land here, so their arithmetic cannot drift (the root of the
   /// QTDA_FUSE=0 bit-identity guarantee).  Matrices arrive pre-cast to the
   /// amplitude scalar (row-major pointers) so one kernel body serves both
   /// precisions.

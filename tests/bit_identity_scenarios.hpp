@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "circuit_plans.hpp"
 #include "common/random.hpp"
 #include "linalg/expm_multiply.hpp"
 #include "linalg/sparse_matrix.hpp"
@@ -178,10 +179,10 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
   std::vector<BitIdentityFingerprint> out;
   const Circuit c10 = bit_identity_circuit(10);
 
-  {  // Dense engine, gate-by-gate walk.
+  {  // Dense engine, gate-by-gate arithmetic (an unfused plan).
     Statevector psi(10);
     psi.set_basis_state(3);
-    psi.apply_circuit(c10);
+    psi.apply_plan(unfused_plan(c10));
     out.push_back({"dense_circuit", fingerprint_amplitudes(psi.amplitudes())});
     out.push_back(
         {"dense_marginal",
@@ -195,7 +196,7 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
     out.push_back(
         {"dense_plan_fused", fingerprint_amplitudes(psi.amplitudes())});
   }
-  {  // Dense engine, unfused plan (must equal the gate-by-gate walk).
+  {  // Dense engine, unfused plan from explicit options (QTDA_FUSE=0).
     Statevector psi(10);
     psi.set_basis_state(3);
     CompilerOptions options;
@@ -206,8 +207,8 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
   }
   {  // Exact density-matrix channel evolution.
     DensityMatrix rho(5);
-    rho.apply_circuit_with_noise(bit_identity_circuit(5),
-                                 NoiseModel{0.05, 0.08});
+    rho.apply_plan_with_noise(noise_slot_plan(bit_identity_circuit(5)),
+                              NoiseModel{0.05, 0.08});
     std::vector<Amplitude> elements;
     elements.reserve(32 * 32);
     for (std::uint64_t r = 0; r < 32; ++r)
@@ -217,9 +218,8 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
   }
   {  // One stochastic trajectory (seeded): single-qubit Pauli kernels.
     Rng rng(42);
-    const Statevector psi =
-        run_noisy_trajectory(bit_identity_circuit(8), NoiseModel{0.1, 0.2},
-                             rng);
+    const Statevector psi = run_noisy_trajectory(
+        noise_slot_plan(bit_identity_circuit(8)), NoiseModel{0.1, 0.2}, rng);
     out.push_back(
         {"trajectory_seed42", fingerprint_amplitudes(psi.amplitudes())});
   }
@@ -227,7 +227,7 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
      // direct path and controlled through the block gather/scatter.
     Statevector psi(8);
     psi.set_basis_state(1);
-    psi.apply_circuit(bit_identity_circuit(8));
+    psi.apply_plan(unfused_plan(bit_identity_circuit(8)));
     const SparseExpOperator op(bit_identity_laplacian(32), 0.9, 0.0, 4.0);
     psi.apply_operator(op, {3, 4, 5, 6, 7});
     psi.apply_operator(op, {2, 3, 5, 6, 7}, {0});
@@ -237,7 +237,7 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
   {  // The same oracle walk on uneven rows with non-power-of-two c and 1/h.
     Statevector psi(8);
     psi.set_basis_state(1);
-    psi.apply_circuit(bit_identity_circuit(8));
+    psi.apply_plan(unfused_plan(bit_identity_circuit(8)));
     const SparseExpOperator op(bit_identity_uneven_matrix(), 0.9, 0.0, 5.0);
     psi.apply_operator(op, {3, 4, 5, 6, 7});
     psi.apply_operator(op, {2, 3, 5, 6, 7}, {0});
@@ -247,7 +247,7 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
   {  // Purified QPE shape on 13 qubits, gate by gate and as a fused plan.
     const Circuit c = purified_qpe_circuit();
     Statevector walked(c.num_qubits());
-    walked.apply_circuit(c);
+    walked.apply_plan(unfused_plan(c));
     out.push_back(
         {"dense_purified_qpe", fingerprint_amplitudes(walked.amplitudes())});
     Statevector fused(c.num_qubits());
@@ -264,7 +264,7 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
     c.rz(17, 0.61);
     c.controlled_phase(0, 17, 0.413);
     c.ry(9, -0.2);
-    psi.apply_circuit(c);
+    psi.apply_plan(unfused_plan(c));
     out.push_back({"dense_large", fingerprint_amplitudes(psi.amplitudes())});
     out.push_back({"dense_large_marginal",
                    fingerprint_doubles(psi.marginal_probabilities(

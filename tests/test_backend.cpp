@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
 
+#include "circuit_plans.hpp"
+#include "common/cancel.hpp"
 #include "common/random.hpp"
 #include "scoped_env.hpp"
 #include "linalg/matrix_exp.hpp"
@@ -18,6 +21,9 @@
 
 namespace qtda {
 namespace {
+
+using testing::noise_slot_plan;
+using testing::unfused_plan;
 
 /// Random real symmetric matrix → random unitary e^{iH} of dimension 2^m.
 ComplexMatrix random_unitary(std::size_t m, Rng& rng) {
@@ -61,11 +67,11 @@ TEST(SimulatorBackend, MatchesRawStatevectorOnCircuit) {
   const Circuit circuit = small_circuit();
   Statevector reference(3);
   reference.set_basis_state(5);
-  reference.apply_circuit(circuit);
+  for (const Gate& gate : circuit.gates()) reference.apply_gate(gate);
 
   StatevectorBackend backend(3);
   backend.prepare_basis_state(5);
-  backend.apply_circuit(circuit);
+  backend.apply_plan(unfused_plan(circuit));
   EXPECT_LT(max_amp_diff(backend.state(), reference), 1e-12);
 
   // Sampling flows through the same multinomial machinery.
@@ -78,12 +84,35 @@ TEST(SimulatorBackend, MatchesRawStatevectorOnCircuit) {
 }
 
 TEST(SimulatorBackend, DepolarizingMatchesNoiseHelper) {
+  Circuit circuit(2);
+  circuit.h(0);
   StatevectorBackend backend(2);
   Statevector reference(2);
   Rng rng_a(9), rng_b(9);
-  backend.apply_depolarizing(0, 1.0, rng_a);  // fires for sure
+  // Certain error after the gate: the walk draws what the helper draws.
+  backend.apply_plan_with_noise(noise_slot_plan(circuit), NoiseModel{1.0, 1.0},
+                                rng_a);
+  reference.apply_gate(circuit.gates()[0]);
   maybe_apply_depolarizing(reference, 0, 1.0, rng_b);
   EXPECT_LT(max_amp_diff(backend.state(), reference), 1e-12);
+  EXPECT_EQ(rng_a.next(), rng_b.next());
+}
+
+TEST(SimulatorBackend, StatevectorPlanWalksStopAtAnExpiredDeadline) {
+  // Every plan walk checkpoints between ops, so a served request past its
+  // deadline stops before the next op instead of finishing the evolution.
+  Circuit circuit(2);
+  circuit.h(0);
+  circuit.cnot(0, 1);
+  StatevectorBackend backend(2);
+  Rng rng(4);
+  const cancel::ScopedDeadline expired(std::chrono::steady_clock::now() -
+                                       std::chrono::milliseconds(1));
+  EXPECT_THROW(backend.apply_plan(unfused_plan(circuit)), CancelledError);
+  EXPECT_THROW(backend.apply_plan_with_noise(noise_slot_plan(circuit),
+                                             NoiseModel{0.1, 0.1}, rng),
+               CancelledError);
+  EXPECT_EQ(backend.state().probability(0), 1.0);
 }
 
 class ApplyOperatorLayouts : public ::testing::TestWithParam<int> {};
@@ -142,7 +171,7 @@ TEST(OperatorGate, CircuitIrRoundTrip) {
   // Identity operator leaves any state unchanged.
   Statevector state(4);
   state.set_basis_state(9);
-  state.apply_circuit(controlled);
+  state.apply_plan(unfused_plan(controlled));
   EXPECT_NEAR(std::abs(state.amplitude(9)), 1.0, 1e-12);
 }
 
@@ -167,7 +196,7 @@ TEST(OperatorGate, ValidationAndUnsupportedConsumers) {
   // engine applies them matrix-free on both registers (identity op ⇒ ρ
   // unchanged).
   DensityMatrix rho(3);
-  EXPECT_NO_THROW(rho.apply_circuit(circuit));
+  EXPECT_NO_THROW(rho.apply_plan(unfused_plan(circuit)));
   EXPECT_NEAR(std::abs(rho.element(0, 0) - Amplitude{1.0, 0.0}), 0.0, 1e-12);
 }
 

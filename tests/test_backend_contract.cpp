@@ -1,6 +1,6 @@
 // Backend-contract conformance suite: every SimulatorKind must satisfy the
 // same observable semantics through the SimulatorBackend interface — basis
-// state preparation, named/dense/operator gate application, marginal and
+// state preparation, plans of named/dense/operator gates, marginal and
 // sampling invariants, and the channel semantics its exact_channels() flag
 // advertises.  New engines get conformance coverage by appearing in the
 // INSTANTIATE list; nothing else in this file names a concrete engine.
@@ -13,6 +13,7 @@
 #include <numeric>
 #include <string>
 
+#include "circuit_plans.hpp"
 #include "common/random.hpp"
 #include "linalg/matrix_exp.hpp"
 #include "quantum/density_matrix.hpp"
@@ -22,6 +23,10 @@
 
 namespace qtda {
 namespace {
+
+using testing::noise_slot_plan;
+using testing::unfused_plan;
+using testing::walk_gates_with_noise;
 
 /// Random real symmetric matrix → random unitary e^{iH} of dimension 2^m.
 ComplexMatrix random_unitary(std::size_t m, Rng& rng) {
@@ -94,11 +99,11 @@ TEST_P(BackendContract, NamedGatesMatchReferenceStatevector) {
   const Circuit circuit = named_gate_circuit();
   Statevector reference(3);
   reference.set_basis_state(5);
-  reference.apply_circuit(circuit);
+  for (const Gate& gate : circuit.gates()) reference.apply_gate(gate);
 
   const auto backend = make(3);
   backend->prepare_basis_state(5);
-  backend->apply_circuit(circuit);
+  backend->apply_plan(unfused_plan(circuit));
   const auto marginal = backend->marginal_probabilities({0, 1, 2});
   const auto expected = reference.probabilities();
   for (std::uint64_t m = 0; m < 8; ++m)
@@ -107,52 +112,47 @@ TEST_P(BackendContract, NamedGatesMatchReferenceStatevector) {
 
 TEST_P(BackendContract, DenseGateOperatorGateAndApplyOperatorAgree) {
   // The same unitary routed three ways — dense kUnitary gate, kOperator
-  // gate in a circuit, direct apply_operator call — must yield the same
-  // distribution, including under a control.
+  // gate in an unfused plan, and the operator behind a fused prefix — must
+  // yield the same distribution, including under a control.
   Rng rng(31);
   const ComplexMatrix u = random_unitary(2, rng);
   const auto op = std::make_shared<DenseOperator>(u);
   const std::vector<std::size_t> targets{1, 2};
   const std::vector<std::size_t> controls{0};
 
-  Circuit prep(3);
-  prep.h(0);
-  prep.ry(1, 0.9);
-  prep.rx(2, -1.1);
-
   Circuit dense(3);
+  dense.h(0);
+  dense.ry(1, 0.9);
+  dense.rx(2, -1.1);
+  Circuit matrix_free = dense;
   dense.unitary(u, targets, controls);
-  Circuit matrix_free(3);
   matrix_free.operator_gate(op, targets, controls);
 
   const auto dense_backend = make(3);
   dense_backend->prepare_basis_state(0);
-  dense_backend->apply_circuit(prep);
-  dense_backend->apply_circuit(dense);
+  dense_backend->apply_plan(unfused_plan(dense));
 
   const auto op_backend = make(3);
   op_backend->prepare_basis_state(0);
-  op_backend->apply_circuit(prep);
-  op_backend->apply_circuit(matrix_free);
+  op_backend->apply_plan(unfused_plan(matrix_free));
 
-  const auto direct_backend = make(3);
-  direct_backend->prepare_basis_state(0);
-  direct_backend->apply_circuit(prep);
-  direct_backend->apply_operator(*op, targets, controls);
+  const auto fused_backend = make(3);
+  fused_backend->prepare_basis_state(0);
+  fused_backend->apply_plan(compile_circuit(matrix_free, CompilerOptions{}));
 
   const auto expected = dense_backend->marginal_probabilities({0, 1, 2});
   const auto via_gate = op_backend->marginal_probabilities({0, 1, 2});
-  const auto via_direct = direct_backend->marginal_probabilities({0, 1, 2});
+  const auto via_fused = fused_backend->marginal_probabilities({0, 1, 2});
   for (std::uint64_t m = 0; m < 8; ++m) {
     EXPECT_NEAR(via_gate[m], expected[m], prob_tol()) << "outcome " << m;
-    EXPECT_NEAR(via_direct[m], expected[m], prob_tol()) << "outcome " << m;
+    EXPECT_NEAR(via_fused[m], expected[m], prob_tol()) << "outcome " << m;
   }
 }
 
 TEST_P(BackendContract, MarginalAndSamplingInvariants) {
   const auto backend = make(3);
   backend->prepare_basis_state(0);
-  backend->apply_circuit(named_gate_circuit());
+  backend->apply_plan(unfused_plan(named_gate_circuit()));
 
   // Marginals are distributions, and coarser marginals are consistent with
   // finer ones.
@@ -175,27 +175,37 @@ TEST_P(BackendContract, MarginalAndSamplingInvariants) {
 }
 
 TEST_P(BackendContract, ZeroProbabilityDepolarizingIsNoop) {
-  const auto backend = make(2);
-  backend->prepare_basis_state(0);
-  Circuit c(2);
-  c.h(0);
-  c.cnot(0, 1);
-  backend->apply_circuit(c);
-  const auto before = backend->marginal_probabilities({0, 1});
-  Rng rng(3);
-  backend->apply_depolarizing(0, 0.0, rng);
-  const auto after = backend->marginal_probabilities({0, 1});
-  EXPECT_EQ(before, after);
+  Circuit prep(2);
+  prep.h(0);
+  prep.cnot(0, 1);
+  Circuit gate(2);
+  gate.ry(0, 0.4);
+  const auto ideal = make(2);
+  ideal->prepare_basis_state(0);
+  ideal->apply_plan(unfused_plan(prep));
+  ideal->apply_plan(unfused_plan(gate));
+  const auto noisy = make(2);
+  noisy->prepare_basis_state(0);
+  noisy->apply_plan(unfused_plan(prep));
+  Rng rng(3), untouched(3);
+  noisy->apply_plan_with_noise(noise_slot_plan(gate), NoiseModel{0.0, 0.0},
+                               rng);
+  EXPECT_EQ(ideal->marginal_probabilities({0, 1}),
+            noisy->marginal_probabilities({0, 1}));
+  EXPECT_EQ(rng.next(), untouched.next());
 }
 
 TEST_P(BackendContract, ExactChannelsFlagMatchesRngConsumption) {
   // Exact-channel engines must not consume the Rng (the flag is the license
   // for callers to draw every shot from one noisy evolution); trajectory
   // engines consume one Bernoulli draw per potential event.
+  Circuit gate(2);
+  gate.x(0);
   const auto backend = make(2);
   backend->prepare_basis_state(0);
   Rng used(11), untouched(11);
-  backend->apply_depolarizing(0, 0.5, used);
+  backend->apply_plan_with_noise(noise_slot_plan(gate), NoiseModel{0.5, 0.5},
+                                 used);
   if (backend->exact_channels()) {
     EXPECT_EQ(used.next(), untouched.next());
   } else {
@@ -209,26 +219,29 @@ TEST_P(BackendContract, NoisyCircuitMatchesChannelSemantics) {
   const auto backend = make(3);
   Rng rng(7);
   backend->prepare_basis_state(0);
-  backend->apply_circuit_with_noise(circuit, noise, rng);
+  backend->apply_plan_with_noise(noise_slot_plan(circuit), noise, rng);
   const auto marginal = backend->marginal_probabilities({0, 1, 2});
 
+  std::vector<double> expected;
   if (backend->exact_channels()) {
-    // Ensemble evolution: exactly the density-matrix channel result.
+    // Ensemble evolution: the exact channels, gate by gate.
     DensityMatrix rho(3);
-    rho.apply_circuit_with_noise(circuit, noise);
-    const auto expected = rho.marginal_probabilities({0, 1, 2});
-    for (std::uint64_t m = 0; m < 8; ++m)
-      EXPECT_NEAR(marginal[m], expected[m], tight_tol()) << "outcome " << m;
+    walk_gates_with_noise(circuit, noise, rho, [&](std::size_t q, double p) {
+      rho.apply_depolarizing(q, p);
+    });
+    expected = rho.marginal_probabilities({0, 1, 2});
   } else {
     // One stochastic trajectory: identical error placement and RNG stream
-    // as the reference sampler.
+    // as the gate-by-gate walk.
     Rng reference_rng(7);
-    const Statevector psi =
-        run_noisy_trajectory(circuit, noise, reference_rng);
-    const auto expected = psi.marginal_probabilities({0, 1, 2});
-    for (std::uint64_t m = 0; m < 8; ++m)
-      EXPECT_NEAR(marginal[m], expected[m], tight_tol()) << "outcome " << m;
+    Statevector psi(3);
+    walk_gates_with_noise(circuit, noise, psi, [&](std::size_t q, double p) {
+      maybe_apply_depolarizing(psi, q, p, reference_rng);
+    });
+    expected = psi.marginal_probabilities({0, 1, 2});
   }
+  for (std::uint64_t m = 0; m < 8; ++m)
+    EXPECT_NEAR(marginal[m], expected[m], tight_tol()) << "outcome " << m;
 }
 
 INSTANTIATE_TEST_SUITE_P(

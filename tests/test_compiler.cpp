@@ -1,8 +1,9 @@
 /// \file test_compiler.cpp
 /// \brief Circuit compiler tests: fusion equivalence across every simulator
-/// backend, the QTDA_FUSE=0 bit-identity guarantee, noise-slot preservation
-/// (error placement and RNG draw order unchanged by compilation), compiler
-/// statistics, and the environment overrides.
+/// backend, the QTDA_FUSE=0 bit-identity guarantee against the engine's
+/// gate primitives, noise-slot preservation (error placement and RNG draw
+/// order of a gate-by-gate walk), compiler statistics, and the environment
+/// overrides.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "circuit_plans.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "core/betti_estimator.hpp"
@@ -25,6 +27,9 @@
 namespace {
 
 using namespace qtda;
+using qtda::testing::noise_slot_plan;
+using qtda::testing::unfused_plan;
+using qtda::testing::walk_gates_with_noise;
 
 /// A random 2^m×2^m unitary: e^{iH} of a random symmetric H.
 ComplexMatrix random_unitary(std::size_t m, Rng& rng) {
@@ -104,7 +109,7 @@ TEST_P(FusionEquivalence, RandomCircuitsAgreeTo1e12) {
 
     const auto reference = build_backend(kind, kQubits);
     reference->prepare_basis_state(1);
-    reference->apply_circuit(circuit);
+    reference->apply_plan(unfused_plan(circuit));
     const auto compiled = build_backend(kind, kQubits);
     compiled->prepare_basis_state(1);
     compiled->apply_plan(plan);
@@ -131,44 +136,41 @@ TEST_P(FusionEquivalence, RandomCircuitsAgreeTo1e12) {
   }
 }
 
-TEST_P(FusionEquivalence, UnfusedPlanIsBitIdentical) {
-  const SimulatorKind kind = GetParam();
-  if (kind == SimulatorKind::kDensityMatrix) GTEST_SKIP()
-      << "amplitudes not addressable through the density matrix";
-  constexpr std::size_t kQubits = 5;
-  Rng rng(77);
-  const Circuit circuit = random_circuit(kQubits, 30, rng);
-
-  CompilerOptions unfused;
-  unfused.fuse = false;  // the QTDA_FUSE=0 path
-  const ExecutionPlan plan = compile_circuit(circuit, unfused);
-  EXPECT_EQ(plan.ops().size(), circuit.gate_count());
-
-  const auto reference = build_backend(kind, kQubits);
-  reference->prepare_basis_state(3);
-  reference->apply_circuit(circuit);
-  const auto compiled = build_backend(kind, kQubits);
-  compiled->prepare_basis_state(3);
-  compiled->apply_plan(plan);
-
-  const auto ar = backend_amplitudes(*reference);
-  const auto ac = backend_amplitudes(*compiled);
-  for (std::size_t i = 0; i < ar.size(); ++i) {
-    EXPECT_EQ(ar[i].real(), ac[i].real()) << "amplitude " << i;
-    EXPECT_EQ(ar[i].imag(), ac[i].imag()) << "amplitude " << i;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(AllBackends, FusionEquivalence,
                          ::testing::Values(SimulatorKind::kStatevector,
                                            SimulatorKind::kDensityMatrix),
                          qtda::testing::simulator_kind_test_name);
 
+TEST(FusionEquivalence, UnfusedPlanIsBitIdentical) {
+  // The QTDA_FUSE=0 guarantee: an unfused plan does the arithmetic of the
+  // engine's gate primitives, byte for byte, global phase included.
+  constexpr std::size_t kQubits = 5;
+  Rng rng(77);
+  const Circuit circuit = random_circuit(kQubits, 30, rng);
+  const ExecutionPlan plan = unfused_plan(circuit);
+  EXPECT_EQ(plan.ops().size(), circuit.gate_count());
+
+  Statevector reference(kQubits);
+  reference.set_basis_state(3);
+  for (const Gate& gate : circuit.gates()) reference.apply_gate(gate);
+  reference.apply_global_phase(circuit.global_phase());
+  Statevector compiled(kQubits);
+  compiled.set_basis_state(3);
+  compiled.apply_plan(plan);
+
+  for (std::uint64_t i = 0; i < reference.dimension(); ++i) {
+    EXPECT_EQ(reference.amplitude(i).real(), compiled.amplitude(i).real())
+        << "amplitude " << i;
+    EXPECT_EQ(reference.amplitude(i).imag(), compiled.amplitude(i).imag())
+        << "amplitude " << i;
+  }
+}
+
 TEST(Compiler, NoisePlanKeepsErrorPlacementAndRngOrder) {
   // The draw-sequence guarantee: a plan compiled for noisy execution walks
-  // gate by gate, so the stochastic error positions and every RNG draw
-  // match run_noisy_trajectory on the raw IR *bit for bit* — even though
-  // the caller asked for fusion.
+  // gate by gate, so the stochastic error positions and every RNG draw of
+  // run_noisy_trajectory match a walk over the raw gates *bit for bit* —
+  // even though the caller asked for fusion.
   Rng circuit_rng(11);
   const Circuit circuit = random_circuit(5, 30, circuit_rng);
   const NoiseModel noise{0.05, 0.1};
@@ -182,7 +184,11 @@ TEST(Compiler, NoisePlanKeepsErrorPlacementAndRngOrder) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng raw_rng(seed);
     Rng plan_rng(seed);
-    const Statevector raw = run_noisy_trajectory(circuit, noise, raw_rng);
+    Statevector raw(circuit.num_qubits());
+    walk_gates_with_noise(circuit, noise, raw, [&](std::size_t q, double p) {
+      maybe_apply_depolarizing(raw, q, p, raw_rng);
+    });
+    raw.apply_global_phase(circuit.global_phase());
     const Statevector compiled = run_noisy_trajectory(plan, noise, plan_rng);
     for (std::uint64_t i = 0; i < raw.dimension(); ++i) {
       ASSERT_EQ(raw.amplitude(i).real(), compiled.amplitude(i).real())
@@ -199,26 +205,38 @@ TEST(Compiler, BackendNoisyPlanMatchesCircuitWalk) {
   Rng circuit_rng(13);
   const Circuit circuit = random_circuit(4, 20, circuit_rng);
   const NoiseModel noise{0.08, 0.15};
-  CompilerOptions options;
-  options.preserve_noise_slots = true;
-  const ExecutionPlan plan = compile_circuit(circuit, options);
+  const ExecutionPlan plan = noise_slot_plan(circuit);
+  const std::vector<std::size_t> all{0, 1, 2, 3};
+
+  // Trajectory engine: the same Pauli draws as a walk over the raw gates
+  // (the backend drops the global phase; it cannot move a marginal).
+  Statevector walked(4);
+  Rng walk_rng(21);
+  walk_gates_with_noise(circuit, noise, walked, [&](std::size_t q, double p) {
+    maybe_apply_depolarizing(walked, q, p, walk_rng);
+  });
+  // Exact channels: the same channels at the same places, no draws.
+  DensityMatrix rho(4);
+  walk_gates_with_noise(circuit, noise, rho, [&](std::size_t q, double p) {
+    rho.apply_depolarizing(q, p);
+  });
+  Rng untouched(21);
 
   for (SimulatorKind kind :
        {SimulatorKind::kStatevector, SimulatorKind::kDensityMatrix}) {
-    const auto reference = build_backend(kind, 4);
+    const bool exact = kind == SimulatorKind::kDensityMatrix;
     const auto compiled = build_backend(kind, 4);
-    Rng ref_rng(21);
     Rng plan_rng(21);
-    reference->prepare_basis_state(0);
-    reference->apply_circuit_with_noise(circuit, noise, ref_rng);
     compiled->prepare_basis_state(0);
     compiled->apply_plan_with_noise(plan, noise, plan_rng);
-    const auto pr = reference->marginal_probabilities({0, 1, 2, 3});
-    const auto pc = compiled->marginal_probabilities({0, 1, 2, 3});
+    const auto pr = exact ? rho.marginal_probabilities(all)
+                          : walked.marginal_probabilities(all);
+    const auto pc = compiled->marginal_probabilities(all);
     for (std::size_t i = 0; i < pr.size(); ++i)
       EXPECT_EQ(pr[i], pc[i])
           << simulator_kind_name(kind) << " outcome " << i;
-    EXPECT_EQ(ref_rng.uniform(), plan_rng.uniform())
+    Rng& reference_rng = exact ? untouched : walk_rng;
+    EXPECT_EQ(reference_rng.uniform(), plan_rng.uniform())
         << simulator_kind_name(kind);
   }
 }
@@ -310,81 +328,6 @@ TEST(Compiler, OperatorGatesPrecomputeLayout) {
   EXPECT_TRUE(compiled.contiguous);
   // Control bit fixed to 1, one free qubit → 2 block bases.
   EXPECT_EQ(compiled.bases.size(), 2u);
-}
-
-/// Minimal engine exercising the generic SimulatorBackend defaults —
-/// apply_plan is deliberately NOT overridden, so this pins the fallback
-/// path unknown future engines would rely on.
-class GenericBackend final : public SimulatorBackend {
- public:
-  explicit GenericBackend(std::size_t num_qubits) : state_(num_qubits) {}
-  std::string name() const override { return "generic"; }
-  Precision precision() const override { return Precision::kFloat64; }
-  std::size_t num_qubits() const override { return state_.num_qubits(); }
-  void prepare_basis_state(std::uint64_t index) override {
-    state_.set_basis_state(index);
-  }
-  void apply_gate(const Gate& gate) override { state_.apply_gate(gate); }
-  void apply_circuit(const Circuit& circuit) override {
-    state_.apply_circuit(circuit);
-  }
-  void apply_global_phase(double phi) override {
-    state_.apply_global_phase(phi);
-  }
-  void apply_operator(const LinearOperator& op,
-                      const std::vector<std::size_t>& targets,
-                      const std::vector<std::size_t>& controls) override {
-    state_.apply_operator(op, targets, controls);
-  }
-  void apply_depolarizing(std::size_t qubit, double probability,
-                          Rng& rng) override {
-    maybe_apply_depolarizing(state_, qubit, probability, rng);
-  }
-  std::vector<double> marginal_probabilities(
-      const std::vector<std::size_t>& qubits) const override {
-    return state_.marginal_probabilities(qubits);
-  }
-  std::vector<std::uint64_t> sample(const std::vector<std::size_t>& qubits,
-                                    std::size_t shots,
-                                    Rng& rng) const override {
-    return state_.sample_counts(qubits, shots, rng);
-  }
-  const Statevector& state() const { return state_; }
-
- private:
-  Statevector state_;
-};
-
-TEST(Compiler, GenericBackendExecutesWideDiagonals) {
-  // A full controlled-phase ladder over 10 wires fuses into one diagonal
-  // wider than the 256-entry densification bound; the non-overridden
-  // apply_plan must still execute it (controlled sub-diagonal split).
-  constexpr std::size_t kQubits = 10;
-  Circuit circuit(kQubits);
-  circuit.h(3);  // non-diagonal neighbours on both sides of the ladder
-  for (std::size_t a = 0; a < kQubits; ++a)
-    for (std::size_t b = a + 1; b < kQubits; ++b)
-      circuit.controlled_phase(a, b, 0.05 * static_cast<double>(a + 2 * b));
-  circuit.h(7);
-  const ExecutionPlan plan = compile_circuit(circuit, CompilerOptions{});
-  bool has_wide_diagonal = false;
-  for (const CompiledOp& op : plan.ops())
-    has_wide_diagonal = has_wide_diagonal ||
-                        (op.kind == CompiledOp::Kind::kDiagonal &&
-                         op.diagonal.size() > 256);
-  ASSERT_TRUE(has_wide_diagonal);
-
-  GenericBackend reference(kQubits);
-  reference.prepare_basis_state(5);
-  reference.apply_circuit(circuit);
-  GenericBackend compiled(kQubits);
-  compiled.prepare_basis_state(5);
-  compiled.apply_plan(plan);
-  for (std::uint64_t i = 0; i < (std::uint64_t{1} << kQubits); ++i)
-    ASSERT_NEAR(std::abs(reference.state().amplitude(i) -
-                         compiled.state().amplitude(i)),
-                0.0, 1e-12)
-        << "amplitude " << i;
 }
 
 TEST(Compiler, EnvOverridesParseAndValidate) {

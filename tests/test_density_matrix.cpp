@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <memory>
 
+#include "circuit_plans.hpp"
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "core/betti_estimator.hpp"
@@ -23,6 +26,9 @@
 
 namespace qtda {
 namespace {
+
+using testing::noise_slot_plan;
+using testing::unfused_plan;
 
 Circuit random_circuit(std::size_t n, int gates, Rng& rng) {
   Circuit c(n);
@@ -149,10 +155,11 @@ TEST(DensityMatrix, TrajectoriesConvergeToExactChannel) {
   const auto exact_marginal = exact.marginal_probabilities({0, 1});
 
   Rng rng(99);
+  const ExecutionPlan plan = noise_slot_plan(circuit);
   const std::size_t trajectories = 4000;
   std::vector<double> sampled(4, 0.0);
   for (std::size_t i = 0; i < trajectories; ++i) {
-    const auto psi = run_noisy_trajectory(circuit, noise, rng);
+    const auto psi = run_noisy_trajectory(plan, noise, rng);
     const auto probs = psi.marginal_probabilities({0, 1});
     for (std::size_t m = 0; m < 4; ++m) sampled[m] += probs[m];
   }
@@ -221,8 +228,8 @@ TEST(DensityMatrix, OperatorGateMatchesDenseGateEvolution) {
     prep.cnot(0, 2);
 
     DensityMatrix dense_rho(3), op_rho(3);
-    dense_rho.apply_circuit(prep);
-    op_rho.apply_circuit(prep);
+    dense_rho.apply_plan(unfused_plan(prep));
+    op_rho.apply_plan(unfused_plan(prep));
     // Mix things so the column register carries genuine coherences.
     dense_rho.apply_depolarizing(1, 0.1);
     op_rho.apply_depolarizing(1, 0.1);
@@ -232,8 +239,8 @@ TEST(DensityMatrix, OperatorGateMatchesDenseGateEvolution) {
     Circuit matrix_free(3);
     matrix_free.operator_gate(std::make_shared<DenseOperator>(u), {1, 2},
                               controls);
-    dense_rho.apply_circuit(dense);
-    op_rho.apply_circuit(matrix_free);
+    dense_rho.apply_plan(unfused_plan(dense));
+    op_rho.apply_plan(unfused_plan(matrix_free));
 
     for (std::uint64_t r = 0; r < 8; ++r)
       for (std::uint64_t c = 0; c < 8; ++c)
@@ -259,7 +266,7 @@ TEST(DensityMatrix, SparseOracleQpeMatchesPureStateNoiselessly) {
 
   const Statevector psi = run_circuit(circuit);
   DensityMatrix rho(circuit.num_qubits());
-  rho.apply_circuit(circuit);
+  rho.apply_plan(unfused_plan(circuit));
 
   EXPECT_NEAR(rho.purity(), 1.0, 1e-9);
   const std::vector<std::size_t> measured{0, 1, 2};
@@ -289,8 +296,9 @@ TEST(DensityMatrix, NoisySparseOracleQpeTrajectoryEnsembleConverges) {
   ASSERT_EQ(operator_gates, options.precision_qubits);
 
   const NoiseModel noise{0.02, 0.03};
+  const ExecutionPlan plan = noise_slot_plan(circuit);
   DensityMatrix rho(circuit.num_qubits());
-  rho.apply_circuit_with_noise(circuit, noise);
+  rho.apply_plan_with_noise(plan, noise);
   const std::vector<std::size_t> measured{0, 1, 2};
   const auto exact = rho.marginal_probabilities(measured);
 
@@ -298,7 +306,7 @@ TEST(DensityMatrix, NoisySparseOracleQpeTrajectoryEnsembleConverges) {
   const std::size_t trajectories = 250;
   std::vector<double> mean(exact.size(), 0.0);
   for (std::size_t i = 0; i < trajectories; ++i) {
-    const Statevector psi = run_noisy_trajectory(circuit, noise, rng);
+    const Statevector psi = run_noisy_trajectory(plan, noise, rng);
     const auto marginal = psi.marginal_probabilities(measured);
     for (std::size_t m = 0; m < mean.size(); ++m) mean[m] += marginal[m];
   }
@@ -343,6 +351,36 @@ TEST(DensityMatrix, EstimatorRunsNoisySparseOracleOnDensityBackend) {
   options.mixed_state = MixedStateMode::kSampledBasis;
   const BettiEstimate sampled = estimate_betti(complex, 1, options);
   EXPECT_NEAR(sampled.zero_probability, reference.zero_probability, 0.05);
+}
+
+TEST(DensityMatrix, PlanWalkStopsAtAnExpiredDeadline) {
+  // simulator=density-matrix is a wire key, so a served request past its
+  // deadline must stop between ops here too, not finish the evolution.
+  Circuit circuit(2);
+  circuit.h(0);
+  circuit.cnot(0, 1);
+  const ExecutionPlan plan = unfused_plan(circuit);
+  DensityMatrixBackend backend(2);
+  const cancel::ScopedDeadline expired(std::chrono::steady_clock::now() -
+                                       std::chrono::milliseconds(1));
+  EXPECT_THROW(backend.apply_plan(plan), CancelledError);
+  EXPECT_EQ(backend.state().purity(), 1.0);
+  EXPECT_EQ(backend.state().element(0, 0), Amplitude(1.0, 0.0));
+}
+
+TEST(DensityMatrix, NoisyPlanWalkStopsAtAnExpiredDeadline) {
+  Circuit circuit(2);
+  circuit.h(0);
+  circuit.cnot(0, 1);
+  const ExecutionPlan plan = noise_slot_plan(circuit);
+  DensityMatrixBackend backend(2);
+  Rng rng(6);
+  const cancel::ScopedDeadline expired(std::chrono::steady_clock::now() -
+                                       std::chrono::milliseconds(1));
+  EXPECT_THROW(backend.apply_plan_with_noise(plan, NoiseModel{0.1, 0.1}, rng),
+               CancelledError);
+  EXPECT_EQ(backend.state().purity(), 1.0);
+  EXPECT_EQ(backend.state().element(0, 0), Amplitude(1.0, 0.0));
 }
 
 TEST(DensityMatrix, Validation) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "circuit_plans.hpp"
 #include "core/betti_estimator.hpp"
 #include "quantum/density_matrix.hpp"
 #include "quantum/executor.hpp"
@@ -16,6 +17,8 @@
 
 namespace qtda {
 namespace {
+
+using testing::unfused_plan;
 
 RealMatrix hollow_triangle_laplacian() {
   const auto complex = SimplicialComplex::from_simplices(
@@ -104,7 +107,7 @@ TEST(EndToEndCircuit, SampledBasisAverageEqualsPurifiedMarginal) {
   for (std::uint64_t basis = 0; basis < q_dim; ++basis) {
     Statevector state(bare.num_qubits());
     state.set_basis_state(basis);  // system wires are the lowest bits
-    state.apply_circuit(bare);
+    state.apply_plan(unfused_plan(bare));
     const auto marginal =
         state.marginal_probabilities(bare_layout.precision_wires());
     for (std::size_t m = 0; m < averaged.size(); ++m)

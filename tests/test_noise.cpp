@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
+#include "circuit_plans.hpp"
+#include "common/cancel.hpp"
 #include "common/random.hpp"
 #include "quantum/executor.hpp"
 #include "quantum/gates.hpp"
 
 namespace qtda {
 namespace {
+
+using testing::noise_slot_plan;
 
 TEST(NoiseModel, NoiselessPredicate) {
   EXPECT_TRUE(NoiseModel{}.is_noiseless());
@@ -42,7 +48,8 @@ TEST(NoisyTrajectory, NoiselessModelReproducesIdealState) {
   c.h(0);
   c.cnot(0, 1);
   Rng rng(3);
-  const auto noisy = run_noisy_trajectory(c, NoiseModel{}, rng);
+  const auto noisy =
+      run_noisy_trajectory(noise_slot_plan(c), NoiseModel{}, rng);
   const auto ideal = run_circuit(c);
   for (std::uint64_t i = 0; i < 4; ++i)
     EXPECT_NEAR(std::abs(noisy.amplitude(i) - ideal.amplitude(i)), 0.0,
@@ -88,10 +95,23 @@ TEST(NoisyTrajectory, StateStaysNormalized) {
   c.cnot(0, 1);
   c.cnot(1, 2);
   Rng rng(11);
+  const ExecutionPlan plan = noise_slot_plan(c);
   for (int i = 0; i < 20; ++i) {
-    const auto state = run_noisy_trajectory(c, NoiseModel{0.2, 0.2}, rng);
+    const auto state = run_noisy_trajectory(plan, NoiseModel{0.2, 0.2}, rng);
     EXPECT_NEAR(state.norm_squared(), 1.0, 1e-10);
   }
+}
+
+TEST(NoisyTrajectory, StopsAtAnExpiredDeadline) {
+  Circuit c(2);
+  c.h(0);
+  c.cnot(0, 1);
+  const ExecutionPlan plan = noise_slot_plan(c);
+  Rng rng(13);
+  const cancel::ScopedDeadline expired(std::chrono::steady_clock::now() -
+                                       std::chrono::milliseconds(1));
+  EXPECT_THROW(run_noisy_trajectory(plan, NoiseModel{0.1, 0.1}, rng),
+               CancelledError);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "circuit_plans.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "linalg/dense_matrix.hpp"
@@ -31,6 +32,7 @@ namespace qtda {
 namespace {
 
 using testing::ScopedSimulatorEnv;
+using testing::unfused_plan;
 
 constexpr double kTheta = 0.3;  // not representable in t bits: spread readout
 
@@ -56,7 +58,7 @@ std::vector<double> readout(SimulatorKind kind, Precision precision,
   const std::unique_ptr<SimulatorBackend> backend =
       make_simulator(kind, layout.total(), precision);
   EXPECT_EQ(backend->precision(), precision);
-  backend->apply_circuit(circuit);
+  backend->apply_plan(unfused_plan(circuit));
   return backend->marginal_probabilities(layout.precision_wires());
 }
 
@@ -174,7 +176,7 @@ TEST(PrecisionDispatch, Float32EnginesKeepTheBackendInvariants) {
     circuit.t(1);
     circuit.h(2);
     circuit.h(2);  // H² = I: wire 2 returns to |0⟩
-    backend->apply_circuit(circuit);
+    backend->apply_plan(unfused_plan(circuit));
     const std::vector<double> marginal =
         backend->marginal_probabilities({0, 1, 2});
     double total = 0.0;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <complex>
 
+#include "circuit_plans.hpp"
 #include "common/random.hpp"
 #include "quantum/executor.hpp"
 #include "quantum/statevector.hpp"
@@ -13,6 +14,8 @@
 
 namespace qtda {
 namespace {
+
+using testing::unfused_plan;
 
 /// Reference DFT amplitude ⟨y|QFT|x⟩ = e^{2πi x y / N} / √N.
 Amplitude dft_entry(std::uint64_t y, std::uint64_t x, std::uint64_t n) {
@@ -35,7 +38,7 @@ TEST_P(QftMatchesDft, OnEveryBasisState) {
     append_qft(c, qubits);
     Statevector s(t);
     s.set_basis_state(x);
-    s.apply_circuit(c);
+    s.apply_plan(unfused_plan(c));
     for (std::uint64_t y = 0; y < dim; ++y) {
       const auto expected = dft_entry(y, x, dim);
       EXPECT_NEAR(std::abs(s.amplitude(y) - expected), 0.0, 1e-10)
@@ -61,7 +64,7 @@ TEST(Qft, InverseComposesToIdentity) {
   s.set_amplitudes(amps);
   s.normalize();
   const auto input = s.amplitudes();
-  s.apply_circuit(c);
+  s.apply_plan(unfused_plan(c));
   for (std::size_t i = 0; i < input.size(); ++i)
     EXPECT_NEAR(std::abs(s.amplitudes()[i] - input[i]), 0.0, 1e-10);
 }
@@ -72,7 +75,7 @@ TEST(Qft, WorksOnQubitSubset) {
   append_qft(c, {1, 2});
   Statevector s(3);
   s.set_basis_state(0b100);  // qubit 0 = 1, subset in |00⟩
-  s.apply_circuit(c);
+  s.apply_plan(unfused_plan(c));
   // QFT|00⟩ = uniform superposition on the subset; qubit 0 stays 1.
   for (std::uint64_t sub = 0; sub < 4; ++sub) {
     EXPECT_NEAR(s.probability(0b100 | sub), 0.25, 1e-12);

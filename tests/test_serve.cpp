@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "circuit_plans.hpp"
 #include "common/error.hpp"
 #include "core/betti_estimator.hpp"
 #include "linalg/expm_multiply.hpp"
@@ -40,6 +42,7 @@ namespace qtda {
 namespace {
 
 using testing::ScopedSimulatorEnv;
+using testing::unfused_plan;
 
 std::vector<std::vector<double>> circle_points(std::size_t n) {
   std::vector<std::vector<double>> points;
@@ -615,7 +618,10 @@ long status_field(const std::string& name) {
 // Every connection used to keep its finished reader thread until stop():
 // an exited but unjoined thread no longer counts in Threads:, but its stack
 // reservation stays mapped.  The acceptor now joins finished readers before
-// starting the next one, so neither count grows with connection churn.
+// starting the next one, so neither count grows with connection churn.  A
+// reader that has answered its last line may still be on its way out when
+// the loop ends (a loaded host delays it), so both bounds are polled for up
+// to 5 s before they are asserted.
 TEST(ServeServer, SequentialConnectionsDoNotAccumulateReaderThreads) {
   BettiServer server;
   LoopbackTransport transport;
@@ -632,10 +638,22 @@ TEST(ServeServer, SequentialConnectionsDoNotAccumulateReaderThreads) {
     EXPECT_EQ(*reply, "pong");
     connection->close();
   }
-  EXPECT_LE(status_field("Threads:"), threads_before + 4);
   // 500 leaked stacks would map gigabytes; a few live readers map a few
   // stacks.
-  EXPECT_LE(status_field("VmSize:"), vm_before_kb + 256 * 1024);
+  const long threads_bound = threads_before + 4;
+  const long vm_bound_kb = vm_before_kb + 256 * 1024;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  long threads = status_field("Threads:");
+  long vm_kb = status_field("VmSize:");
+  while ((threads > threads_bound || vm_kb > vm_bound_kb) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    threads = status_field("Threads:");
+    vm_kb = status_field("VmSize:");
+  }
+  EXPECT_LE(threads, threads_bound);
+  EXPECT_LE(vm_kb, vm_bound_kb);
   server.stop();
 }
 
@@ -712,8 +730,8 @@ TEST(TrotterGrouping, GroupedCircuitIsSmallerAndExactForACommutingFamily) {
     Statevector g(2), u(2);
     g.set_basis_state(basis);
     u.set_basis_state(basis);
-    g.apply_circuit(grouped);
-    u.apply_circuit(ungrouped);
+    g.apply_plan(unfused_plan(grouped));
+    u.apply_plan(unfused_plan(ungrouped));
     for (std::uint64_t row = 0; row < 4; ++row)
       worst = std::max(worst, std::abs(g.amplitude(row) - u.amplitude(row)));
   }
@@ -730,7 +748,7 @@ TEST(TrotterGrouping, GroupedCircuitIsSmallerAndExactForACommutingFamily) {
   for (std::uint64_t col = 0; col < 4; ++col) {
     Statevector g(2);
     g.set_basis_state(col);
-    g.apply_circuit(grouped);
+    g.apply_plan(unfused_plan(grouped));
     for (std::uint64_t row = 0; row < 4; ++row)
       vs_reference = std::max(vs_reference,
                               std::abs(g.amplitude(row) - reference(row, col)));

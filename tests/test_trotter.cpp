@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "circuit_plans.hpp"
 #include "common/random.hpp"
 #include "linalg/matrix_exp.hpp"
 #include "linalg/matrix_ops.hpp"
@@ -16,6 +17,8 @@
 namespace qtda {
 namespace {
 
+using testing::unfused_plan;
+
 /// Max |difference| between circuit action and a dense unitary, probed on
 /// every basis state of an n-qubit register.
 double circuit_vs_unitary(const Circuit& circuit, const ComplexMatrix& u) {
@@ -25,7 +28,7 @@ double circuit_vs_unitary(const Circuit& circuit, const ComplexMatrix& u) {
   for (std::uint64_t col = 0; col < dim; ++col) {
     Statevector s(n);
     s.set_basis_state(col);
-    s.apply_circuit(circuit);
+    s.apply_plan(unfused_plan(circuit));
     for (std::uint64_t row = 0; row < dim; ++row)
       worst = std::max(worst, std::abs(s.amplitude(row) - u(row, col)));
   }
@@ -154,13 +157,13 @@ TEST(TrotterCircuit, SecondOrderBeatsFirstOrder) {
   const Circuit reference = trotter_circuit(h, 1.0, {256, 2}, 2);
   Statevector ref_state(2);
   ref_state.apply_single_qubit(gates::H(), 0);
-  ref_state.apply_circuit(reference);
+  ref_state.apply_plan(unfused_plan(reference));
 
   const auto error_of = [&](const TrotterOptions& options) {
     const Circuit c = trotter_circuit(h, 1.0, options, 2);
     Statevector s(2);
     s.apply_single_qubit(gates::H(), 0);
-    s.apply_circuit(c);
+    s.apply_plan(unfused_plan(c));
     double diff = 0.0;
     for (std::uint64_t i = 0; i < 4; ++i)
       diff = std::max(diff,
