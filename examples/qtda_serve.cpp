@@ -11,9 +11,11 @@
 ///
 /// `--smoke` instead drives an in-process loopback end to end — cold
 /// request, warm repeat (asserting the plan cache hit and bit-identical
-/// results), a concurrent burst exercising the batcher, and a clean
-/// shutdown — then repeats a round trip over a real TCP socket, exiting
-/// non-zero on any violation.  CI runs this as the serve-smoke step.
+/// results), a concurrent burst exercising the batcher, a `stats` line
+/// that must agree field by field with the `metrics` scrape after it, and a
+/// clean shutdown — then repeats a round trip over a real TCP socket,
+/// exiting non-zero on any violation.  CI runs this as the serve-smoke
+/// step.
 ///
 /// Setting `QTDA_CHAOS=<seed>:<spec>` (see serve/chaos.hpp) wraps the
 /// transport in deterministic fault injection, in both daemon and smoke
@@ -24,6 +26,7 @@
 #include <csignal>
 #include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,6 +105,31 @@ void print_chaos_stats(const char* where, const FaultInjectingTransport& t) {
       static_cast<unsigned long long>(stats.failed_accepts));
 }
 
+/// Whether a `stats` line names exactly the counters and gauges of \p metrics,
+/// each with the same value.
+bool stats_agree(const std::string& stats, const MetricsReport& metrics) {
+  std::istringstream fields(stats);
+  std::string field;
+  if (!(fields >> field) || field != "stats") return false;
+  std::size_t matched = 0;
+  while (fields >> field) {
+    const std::size_t equals = field.find('=');
+    if (equals == std::string::npos) return false;
+    const std::string name = field.substr(0, equals);
+    const std::string value = field.substr(equals + 1);
+    const auto counter = metrics.counters.find(name);
+    const auto gauge = metrics.gauges.find(name);
+    if (counter != metrics.counters.end()) {
+      if (value != std::to_string(counter->second)) return false;
+    } else if (gauge == metrics.gauges.end() ||
+               value != std::to_string(gauge->second)) {
+      return false;
+    }
+    ++matched;
+  }
+  return matched == metrics.counters.size() + metrics.gauges.size();
+}
+
 /// In-process end-to-end exercise over the loopback transport.
 int run_loopback_smoke(const std::optional<FaultPlan>& chaos_plan) {
   ServerOptions options;
@@ -168,8 +196,11 @@ int run_loopback_smoke(const std::optional<FaultPlan>& chaos_plan) {
 
     // Metrics scrape: the burst above must have left non-zero request
     // counters, cache traffic on every level, and populated latency
-    // histograms — this is the observability contract CI asserts.
+    // histograms — this is the observability contract CI asserts.  The
+    // server is quiescent, so the stats line above must agree with it.
     const MetricsReport metrics = client.metrics();
+    if (!stats_agree(stats, metrics))
+      return fail("stats line disagrees with the metrics scrape");
     if (metrics.counters.at("serve.admitted") < 34)
       return fail("metrics verb lost admitted requests");
     if (metrics.counters.at("cache.plan.hits") == 0 ||
@@ -275,7 +306,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("cache-shards", 8));
   options.workers = static_cast<std::size_t>(args.get_int("workers", 1));
   options.batching = !args.get_bool("no-batching");
-  options.telemetry = !args.get_bool("no-telemetry");
   options.max_queue = static_cast<std::size_t>(args.get_int("max-queue", 0));
 
   try {
@@ -303,11 +333,10 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handle_signal);
 
     server.start(*transport);
-    std::printf("qtda_serve listening on %s (cache %lld MiB, %s, %s)\n",
+    std::printf("qtda_serve listening on %s (cache %lld MiB, %s)\n",
                 listening_on.c_str(),
                 static_cast<long long>(args.get_int("cache-mb", 256)),
-                options.batching ? "batching on" : "batching off",
-                options.telemetry ? "telemetry on" : "telemetry off");
+                options.batching ? "batching on" : "batching off");
     std::fflush(stdout);
     server.wait();
     server.stop();

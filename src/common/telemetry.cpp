@@ -228,16 +228,17 @@ Histogram& Registry::histogram(const std::string& name) {
   return *entry;
 }
 
-MetricsSnapshot Registry::snapshot() const {
+MetricsReport Registry::snapshot() const {
   Impl& state = impl();
   MutexLock lock(state.mutex);
-  MetricsSnapshot out;
+  MetricsReport out;
   for (const auto& [name, counter] : state.counters)
-    out.counters.emplace_back(name, counter->value());
+    out.counters.emplace_hint(out.counters.end(), name, counter->value());
   for (const auto& [name, gauge] : state.gauges)
-    out.gauges.emplace_back(name, gauge->value());
+    out.gauges.emplace_hint(out.gauges.end(), name, gauge->value());
   for (const auto& [name, histogram] : state.histograms)
-    out.histograms.emplace_back(name, histogram->snapshot());
+    out.histograms.emplace_hint(out.histograms.end(), name,
+                                histogram->snapshot());
   return out;
 }
 
@@ -307,21 +308,21 @@ bool write_chrome_trace(const std::string& path) {
   return static_cast<bool>(file);
 }
 
-std::string render_text(const MetricsSnapshot& snapshot) {
+std::string render_text(const MetricsReport& report) {
   std::ostringstream out;
-  if (!snapshot.counters.empty()) {
+  if (!report.counters.empty()) {
     out << "telemetry counters:\n";
-    for (const auto& [name, value] : snapshot.counters)
+    for (const auto& [name, value] : report.counters)
       out << "  " << name << " = " << value << '\n';
   }
-  if (!snapshot.gauges.empty()) {
+  if (!report.gauges.empty()) {
     out << "telemetry gauges:\n";
-    for (const auto& [name, value] : snapshot.gauges)
+    for (const auto& [name, value] : report.gauges)
       out << "  " << name << " = " << value << '\n';
   }
-  if (!snapshot.histograms.empty()) {
+  if (!report.histograms.empty()) {
     out << "telemetry histograms:\n";
-    for (const auto& [name, histogram] : snapshot.histograms) {
+    for (const auto& [name, histogram] : report.histograms) {
       out << "  " << name << ": count=" << histogram.count
           << " mean=" << histogram.mean()
           << " p50=" << histogram.quantile(0.50)

@@ -19,6 +19,13 @@
 ///     merging two snapshots is plain per-bucket count addition and the
 ///     same samples always land in the same buckets on every host.
 ///
+/// One registry: Registry::snapshot() copies every metric into a
+/// MetricsReport, the one type every reader renders — `--stats` reports
+/// (render_text) and the serving layer's `stats` and `metrics` verbs, which
+/// add the artifact caches to it (serve/metrics.hpp).  A BettiServer
+/// enables collection on start() and counts its own events here too, so a
+/// served process has no second set of counters.
+///
 /// Tracing: when a trace is active (QTDA_TRACE=out.json or start_trace()),
 /// each span additionally appends one event to a thread-local buffer with
 /// its nesting depth; stop_trace() collects every thread's events and
@@ -31,6 +38,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -172,11 +180,13 @@ class Histogram {
   std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
 };
 
-/// Everything the registry holds, copied out for rendering.
-struct MetricsSnapshot {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::int64_t>> gauges;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
+/// Everything the registry holds, copied out by name.  Maps keep rendering
+/// and comparison deterministic; the serving layer adds its cache levels to
+/// the same report (serve/metrics.hpp), so every surface reads one type.
+struct MetricsReport {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::int64_t> gauges;
+  std::map<std::string, HistogramSnapshot> histograms;
 };
 
 /// The process-wide name → metric table.  Lookups take a mutex; entries are
@@ -188,8 +198,8 @@ class Registry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// Copies every metric, names sorted ascending.
-  MetricsSnapshot snapshot() const;
+  /// Copies every metric.
+  MetricsReport snapshot() const;
 
   /// Zeroes every value (registrations survive).  For tests and drivers
   /// wanting a per-run snapshot; not atomic across metrics.
@@ -278,8 +288,8 @@ class Span {
   bool tracing_ = false;
 };
 
-/// Plain-text rendering of a snapshot for --stats style reports.
-std::string render_text(const MetricsSnapshot& snapshot);
+/// Plain-text rendering of a report for --stats style reports.
+std::string render_text(const MetricsReport& report);
 
 }  // namespace telemetry
 }  // namespace qtda

@@ -11,13 +11,6 @@ namespace qtda {
 
 namespace {
 
-/// Live hit/miss counters per cache level (the scrape-time numbers come
-/// from CacheStats; these let telemetry-only consumers watch the rates).
-void count_cache_access(telemetry::Counter& hits, telemetry::Counter& misses,
-                        bool hit) {
-  (hit ? hits : misses).add(1);
-}
-
 /// %.17g rendering — round-trips every finite double exactly, so two
 /// requests with bit-equal parameters always form the same key and two with
 /// different parameters never collide on formatting.
@@ -98,13 +91,6 @@ ResolvedArtifacts ArtifactStore::resolve(const PointCloud& cloud,
         return {std::move(complex), bytes};
       },
       &resolved.complex_hit);
-  if (telemetry::enabled()) {
-    static telemetry::Counter& hits =
-        telemetry::registry().counter("cache.complex.hits");
-    static telemetry::Counter& misses =
-        telemetry::registry().counter("cache.complex.misses");
-    count_cache_access(hits, misses, resolved.complex_hit);
-  }
   resolved.complex_fingerprint = fingerprint_complex(*resolved.complex);
 
   if (resolved.complex->count(k) == 0) return resolved;  // empty estimate
@@ -122,13 +108,6 @@ ResolvedArtifacts ArtifactStore::resolve(const PointCloud& cloud,
         return {std::move(laplacian), bytes};
       },
       &resolved.laplacian_hit);
-  if (telemetry::enabled()) {
-    static telemetry::Counter& hits =
-        telemetry::registry().counter("cache.laplacian.hits");
-    static telemetry::Counter& misses =
-        telemetry::registry().counter("cache.laplacian.misses");
-    count_cache_access(hits, misses, resolved.laplacian_hit);
-  }
 
   const std::string key = plan_key(resolved.complex_fingerprint, k, options);
   const auto& laplacian = *resolved.laplacian;
@@ -141,13 +120,6 @@ ResolvedArtifacts ArtifactStore::resolve(const PointCloud& cloud,
         return {std::move(artifact), bytes};
       },
       &resolved.plan_hit);
-  if (telemetry::enabled()) {
-    static telemetry::Counter& hits =
-        telemetry::registry().counter("cache.plan.hits");
-    static telemetry::Counter& misses =
-        telemetry::registry().counter("cache.plan.misses");
-    count_cache_access(hits, misses, resolved.plan_hit);
-  }
   return resolved;
 }
 

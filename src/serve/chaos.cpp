@@ -293,6 +293,10 @@ std::optional<std::string> FaultInjectingConnection::read_line_for(
   return apply_read_fault(std::move(line));
 }
 
+void FaultInjectingConnection::set_max_line_bytes(std::size_t max_line_bytes) {
+  inner_->set_max_line_bytes(max_line_bytes);
+}
+
 bool FaultInjectingConnection::write_line(const std::string& line) {
   std::optional<FaultKind> fault;
   {

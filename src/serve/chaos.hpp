@@ -35,6 +35,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -131,6 +132,7 @@ class FaultInjectingConnection final : public Connection {
   std::optional<std::string> read_line() override;
   std::optional<std::string> read_line_for(std::uint64_t timeout_ms,
                                            bool* timed_out) override;
+  void set_max_line_bytes(std::size_t max_line_bytes) override;
   bool write_line(const std::string& line) override;
   void close() override;
 

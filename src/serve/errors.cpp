@@ -2,8 +2,6 @@
 
 #include <array>
 
-#include "common/telemetry.hpp"
-
 namespace qtda {
 
 namespace {
@@ -43,23 +41,6 @@ bool serve_error_retryable(ServeErrorCode code) {
       return false;
   }
   return false;
-}
-
-void count_serve_error(ServeErrorCode code) {
-  if (!telemetry::enabled()) return;
-  // One immortal counter per code, resolved lazily on first use (the macro
-  // form needs a compile-time name; the code arrives at runtime here).
-  struct Counters {
-    std::array<telemetry::Counter*, kNumCodes> by_code;
-    Counters() {
-      for (std::size_t i = 0; i < kNumCodes; ++i)
-        by_code[i] = &telemetry::registry().counter(
-            std::string("serve.errors.") + kNames[i]);
-    }
-  };
-  static Counters counters;
-  const auto index = static_cast<std::size_t>(code);
-  if (index < kNumCodes) counters.by_code[index]->add(1);
 }
 
 }  // namespace qtda

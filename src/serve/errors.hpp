@@ -7,7 +7,8 @@
 /// "give up" (deadline, internal) without parsing free-text messages.  The
 /// codes travel on the wire (`error id=.. code=.. retryable=..`, see
 /// protocol.hpp), surface as typed ServeError exceptions in ServeClient,
-/// and are counted per code in telemetry as `serve.errors.<code>`.
+/// and are counted per code in the telemetry registry as
+/// `serve.errors.<code>` by the server that answers them.
 ///
 /// | code        | retryable | meaning                                       |
 /// |-------------|-----------|-----------------------------------------------|
@@ -52,11 +53,6 @@ ServeErrorCode serve_error_from_name(const std::string& name);
 
 /// Whether an identical retry can reasonably succeed (see the table above).
 bool serve_error_retryable(ServeErrorCode code);
-
-/// Bumps the `serve.errors.<code>` telemetry counter (no-op while telemetry
-/// is disabled).  Counter references are cached per code — the registry's
-/// entries are immortal, so this is safe from any thread.
-void count_serve_error(ServeErrorCode code);
 
 /// Typed failure thrown by ServeClient when a request cannot be served
 /// (retries exhausted, non-retryable error, timeout).

@@ -4,15 +4,16 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "serve/server.hpp"
+#include "linalg/expm_multiply.hpp"
+#include "serve/artifact_cache.hpp"
 
 namespace qtda {
 
 namespace {
 
 /// Folds one cache level into the report under cache.<level>.* names.  The
-/// CacheStats are authoritative (they see every access, telemetry on or
-/// off); entries/bytes are levels, so they land in gauges.
+/// CacheStats see every access; entries/bytes are levels, so they land in
+/// gauges.
 void add_cache_level(MetricsReport& report, const std::string& level,
                      const CacheStats& stats) {
   const std::string prefix = "cache." + level + ".";
@@ -106,35 +107,29 @@ std::string prometheus_name(const std::string& name) {
 
 }  // namespace
 
-MetricsReport collect_metrics(const ServerStats* server_stats) {
-  MetricsReport report;
-  const telemetry::MetricsSnapshot snapshot =
-      telemetry::registry().snapshot();
-  for (const auto& [name, value] : snapshot.counters)
-    report.counters[name] = value;
-  for (const auto& [name, value] : snapshot.gauges)
-    report.gauges[name] = value;
-  for (const auto& [name, histogram] : snapshot.histograms)
-    report.histograms[name] = histogram;
-  if (server_stats != nullptr) {
-    const ServerStats& stats = *server_stats;
-    report.counters["serve.admitted"] = stats.admitted;
-    report.counters["serve.completed"] = stats.completed;
-    report.counters["serve.errors"] = stats.errors;
-    report.counters["serve.batches"] = stats.batches;
-    report.counters["serve.batched_requests"] = stats.batched_requests;
-    report.counters["serve.deadline_misses"] = stats.deadline_misses;
-    report.counters["serve.shed"] = stats.shed;
-    add_cache_level(report, "complex", stats.complexes);
-    add_cache_level(report, "laplacian", stats.laplacians);
-    add_cache_level(report, "plan", stats.plans);
-    report.counters["cache.expm.hits"] = stats.expm.hits;
-    report.counters["cache.expm.misses"] = stats.expm.misses;
-    report.counters["cache.expm.evictions"] = stats.expm.evictions;
-    report.gauges["cache.expm.entries"] =
-        static_cast<std::int64_t>(stats.expm.entries);
+MetricsReport collect_metrics(const ArtifactStore* store) {
+  MetricsReport report = telemetry::registry().snapshot();
+  if (store != nullptr) {
+    add_cache_level(report, "complex", store->complex_stats());
+    add_cache_level(report, "laplacian", store->laplacian_stats());
+    add_cache_level(report, "plan", store->plan_stats());
   }
+  const ExpmCoefficientCacheStats expm = expm_coefficient_cache_stats();
+  report.counters["cache.expm.hits"] = expm.hits;
+  report.counters["cache.expm.misses"] = expm.misses;
+  report.counters["cache.expm.evictions"] = expm.evictions;
+  report.gauges["cache.expm.entries"] = static_cast<std::int64_t>(expm.entries);
   return report;
+}
+
+std::string render_stats_line(const MetricsReport& report) {
+  std::ostringstream out;
+  out << "stats";
+  for (const auto& [name, value] : report.counters)
+    out << ' ' << name << '=' << value;
+  for (const auto& [name, value] : report.gauges)
+    out << ' ' << name << '=' << value;
+  return out.str();
 }
 
 std::string render_metrics_json(const MetricsReport& report) {

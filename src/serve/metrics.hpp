@@ -1,10 +1,15 @@
 /// \file metrics.hpp
-/// \brief Metrics exposition for the serving layer.
+/// \brief The serving layer's one metrics report and its renderings.
 ///
-/// The `metrics` protocol verb renders the process-wide telemetry registry
-/// plus the server's own counters (admission, caches, expm memo) in two
-/// forms:
+/// collect_metrics() builds the report every surface reads: the
+/// process-wide telemetry registry (the server's admission, completion,
+/// batch and per-code error counters, spans, histograms and gauges), an
+/// artifact store's cache levels, and the process-wide expm memo.  Each
+/// served event is counted once, in the registry, so the surfaces below
+/// cannot disagree:
 ///
+///  * **stats** — `stats name=value ...`, one line over the report's
+///    counters and gauges (names as in the other two forms).
 ///  * **JSON** — one line, `metrics {...}`, integers only (histograms ship
 ///    their raw bucket counts, quantiles are computed client-side from the
 ///    fixed bucket layout).  ServeClient::metrics() parses this into a
@@ -15,28 +20,24 @@
 ///    with plain `socat`.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <string>
 
 #include "common/telemetry.hpp"
 
 namespace qtda {
 
-struct ServerStats;  // serve/server.hpp
+class ArtifactStore;  // serve/artifact_cache.hpp
 
-/// A parsed/collected metrics payload.  Maps keep rendering and comparison
-/// deterministic.
-struct MetricsReport {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, telemetry::HistogramSnapshot> histograms;
-};
+using telemetry::MetricsReport;
 
-/// Snapshot of the telemetry registry merged with the server's stats (cache
-/// hits/misses/evictions/entries/bytes per level, admission counters).
-/// \p server_stats may be null (library-only consumers).
-MetricsReport collect_metrics(const ServerStats* server_stats);
+/// The registry snapshot plus \p store's cache levels
+/// (`cache.<level>.hits/misses/evictions` counters, `.entries/.bytes`
+/// gauges) and the expm memo (`cache.expm.*`).  \p store may be null
+/// (library-only consumers).
+MetricsReport collect_metrics(const ArtifactStore* store);
+
+/// One line, `stats name=value ...`, over the report's counters and gauges.
+std::string render_stats_line(const MetricsReport& report);
 
 /// One-line JSON object (no newlines), the payload of `metrics `.
 std::string render_metrics_json(const MetricsReport& report);

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <exception>
 #include <optional>
 #include <sstream>
@@ -17,8 +18,53 @@ namespace qtda {
 
 namespace {
 
+/// The server's registry entries, resolved once per process (registry
+/// entries are immortal).  The BettiServer constructor resolves them, so
+/// every name appears from the first scrape.
+struct ServeMetrics {
+  telemetry::Counter& admitted =
+      telemetry::registry().counter("serve.admitted");
+  telemetry::Counter& completed =
+      telemetry::registry().counter("serve.completed");
+  telemetry::Counter& batches = telemetry::registry().counter("serve.batches");
+  telemetry::Counter& batched_requests =
+      telemetry::registry().counter("serve.batched_requests");
+  telemetry::Histogram& queue_wait =
+      telemetry::registry().histogram("serve.queue_wait_ns");
+  telemetry::Histogram& batch_size =
+      telemetry::registry().histogram("serve.batch_size");
+  telemetry::Histogram& request_latency =
+      telemetry::registry().histogram("serve.request_ns");
+  telemetry::Gauge& queue_depth =
+      telemetry::registry().gauge("serve.queue_depth");
+  /// `serve.errors.<code>` for the codes a server answers with (kProtocol
+  /// through kInternal; the rest are client-side).
+  std::array<telemetry::Counter*,
+             static_cast<std::size_t>(ServeErrorCode::kInternal) + 1>
+      errors{};
+
+  ServeMetrics() {
+    for (const ServeErrorCode code :
+         {ServeErrorCode::kProtocol, ServeErrorCode::kLimit,
+          ServeErrorCode::kOverloaded, ServeErrorCode::kDeadline,
+          ServeErrorCode::kShutdown, ServeErrorCode::kInternal})
+      errors.at(static_cast<std::size_t>(code)) = &telemetry::registry().counter(
+          std::string("serve.errors.") + serve_error_name(code));
+  }
+
+  telemetry::Counter& error(ServeErrorCode code) {
+    return *errors.at(static_cast<std::size_t>(code));
+  }
+};
+
+ServeMetrics& serve_metrics() {
+  static ServeMetrics metrics;
+  return metrics;
+}
+
 /// Builds a typed error response (taxonomy code, retryable flag, optional
-/// backoff hint) and records the per-code telemetry counter.
+/// backoff hint) and counts it as `serve.errors.<code>` — before the caller
+/// writes the reply, so a client that has read it sees it counted.
 EstimateResponse make_error(std::string id, ServeErrorCode code,
                             std::string message,
                             std::uint64_t retry_after_ms = 0) {
@@ -29,7 +75,7 @@ EstimateResponse make_error(std::string id, ServeErrorCode code,
   response.retryable = serve_error_retryable(code);
   response.retry_after_ms = retry_after_ms;
   response.error = std::move(message);
-  count_serve_error(code);
+  serve_metrics().error(code).add(1);
   return response;
 }
 
@@ -61,27 +107,6 @@ std::string check_limits(const EstimateRequest& request,
   return out.str();
 }
 
-/// Serve-side histograms, resolved once (registry entries are immortal).
-struct ServeHistograms {
-  telemetry::Histogram& queue_wait =
-      telemetry::registry().histogram("serve.queue_wait_ns");
-  telemetry::Histogram& batch_size =
-      telemetry::registry().histogram("serve.batch_size");
-  telemetry::Histogram& request_latency =
-      telemetry::registry().histogram("serve.request_ns");
-};
-
-ServeHistograms& serve_histograms() {
-  static ServeHistograms histograms;
-  return histograms;
-}
-
-telemetry::Gauge& queue_depth_gauge() {
-  static telemetry::Gauge& gauge =
-      telemetry::registry().gauge("serve.queue_depth");
-  return gauge;
-}
-
 std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -94,13 +119,14 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
 BettiServer::BettiServer(const ServerOptions& options)
     : options_(options), store_(options.cache) {
   if (options_.workers == 0) options_.workers = 1;
+  serve_metrics();  // register every serve metric before the first scrape
 }
 
 BettiServer::~BettiServer() { stop(); }
 
 void BettiServer::start(Transport& transport) {
   QTDA_REQUIRE(transport_ == nullptr, "server already started");
-  if (options_.telemetry) telemetry::set_enabled(true);
+  telemetry::set_enabled(true);
   transport_ = &transport;
   completion_thread_ = std::thread([this] { completion_loop(); });
   for (std::size_t i = 0; i < options_.workers; ++i)
@@ -159,6 +185,7 @@ void BettiServer::acceptor_loop(Transport* transport) {
   while (!stopping_.load()) {
     std::shared_ptr<Connection> connection = transport->accept();
     if (connection == nullptr) break;
+    connection->set_max_line_bytes(options_.limits.max_line_bytes);
     reap_finished_readers();
     {
       MutexLock lock(connections_mutex_);
@@ -204,13 +231,12 @@ void BettiServer::reader_loop(std::shared_ptr<Connection> connection) {
     if (line->empty()) continue;
     if (line->size() > options_.limits.max_line_bytes) {
       // Refuse before parsing: the size check is the only work an
-      // arbitrarily large frame gets to cause.
+      // arbitrarily large frame gets to cause (a socket reader holds only
+      // its first max_line_bytes + 1 bytes, see set_max_line_bytes).
       connection->write_line(format_response(make_error(
           request_id_of(*line), ServeErrorCode::kLimit,
-          "request line of " + std::to_string(line->size()) +
-              " bytes exceeds max_line_bytes=" +
+          "request line exceeds max_line_bytes=" +
               std::to_string(options_.limits.max_line_bytes))));
-      errors_.fetch_add(1);
       continue;
     }
     try {
@@ -219,18 +245,19 @@ void BettiServer::reader_loop(std::shared_ptr<Connection> connection) {
           connection->write_line("pong");
           break;
         case ServeCommand::kStats:
-          connection->write_line(stats_line());
+          connection->write_line(render_stats_line(metrics()));
           break;
         case ServeCommand::kMetrics:
           if (line->find("format=prometheus") != std::string::npos) {
             // Multi-line exposition: each line is one protocol frame; the
             // "# EOF" terminator tells the scraper when to stop reading.
-            std::istringstream text(metrics_prometheus_text());
+            std::istringstream text(render_prometheus(metrics()));
             std::string metric_line;
             while (std::getline(text, metric_line))
               connection->write_line(metric_line);
           } else {
-            connection->write_line("metrics " + metrics_json_line());
+            connection->write_line("metrics " +
+                                   render_metrics_json(metrics()));
           }
           break;
         case ServeCommand::kShutdown:
@@ -250,7 +277,6 @@ void BettiServer::reader_loop(std::shared_ptr<Connection> connection) {
           if (!violation.empty()) {
             connection->write_line(format_response(make_error(
                 request.id, ServeErrorCode::kLimit, violation)));
-            errors_.fetch_add(1);
             break;
           }
           Pending pending;
@@ -293,16 +319,14 @@ bool BettiServer::admit(Pending pending) {
   pending.admitted_at = std::chrono::steady_clock::now();
   {
     MutexLock lock(queue_mutex_);
-    if (options_.max_queue > 0 && queue_.size() >= options_.max_queue) {
-      shed_.fetch_add(1);
+    if (options_.max_queue > 0 && queue_.size() >= options_.max_queue)
       return false;
-    }
     // Increment before the push (still under the lock) so the worker's
     // decrement after popping can never observe the gauge below zero.
-    if (telemetry::enabled()) queue_depth_gauge().add(1);
+    if (telemetry::enabled()) serve_metrics().queue_depth.add(1);
     queue_.push_back(std::move(pending));
   }
-  admitted_.fetch_add(1);
+  serve_metrics().admitted.add(1);
   queue_ready_.notify_one();
   return true;
 }
@@ -331,9 +355,9 @@ void BettiServer::worker_loop() {
       }
     }
     if (telemetry::enabled()) {
-      queue_depth_gauge().add(-static_cast<std::int64_t>(batch.size()));
+      serve_metrics().queue_depth.add(-static_cast<std::int64_t>(batch.size()));
       for (const Pending& pending : batch)
-        serve_histograms().queue_wait.record(ns_since(pending.admitted_at));
+        serve_metrics().queue_wait.record(ns_since(pending.admitted_at));
     }
     try {
       execute_batch(std::move(batch));
@@ -342,7 +366,7 @@ void BettiServer::worker_loop() {
       // its own handlers, so anything landing here is unexpected — log and
       // keep the worker alive rather than losing an executor thread.
       QTDA_ERROR << "worker: unexpected exception escaped execution";
-      errors_.fetch_add(1);
+      serve_metrics().error(ServeErrorCode::kInternal).add(1);
     }
   }
 }
@@ -362,7 +386,7 @@ void BettiServer::completion_loop() {
     // immediately scrapes `metrics` or `stats`) must observe the completion
     // — the write below happens-after this increment on this thread, and
     // the client's scrape happens-after the write.
-    completed_.fetch_add(1);
+    serve_metrics().completed.add(1);
     if (item.first != nullptr) item.first->write_line(item.second);
   }
 }
@@ -419,18 +443,14 @@ EstimateResponse BettiServer::execute_single(const EstimateRequest& request) {
   } catch (const CancelledError&) {
     response = make_error(request.id, ServeErrorCode::kDeadline,
                           "deadline exceeded during execution");
-    deadline_misses_.fetch_add(1);
-    errors_.fetch_add(1);
   } catch (const std::exception& error) {
     response = make_error(request.id, ServeErrorCode::kInternal,
                           error.what());
-    errors_.fetch_add(1);
   } catch (...) {
     // Poison request: even a non-standard exception must not take the
     // worker down — answer and move on.
     response = make_error(request.id, ServeErrorCode::kInternal,
                           "unexpected non-standard exception");
-    errors_.fetch_add(1);
   }
   return response;
 }
@@ -447,8 +467,6 @@ void BettiServer::execute_batch(std::vector<Pending> batch) {
   live.reserve(batch.size());
   for (Pending& pending : batch) {
     if (pending.has_deadline && now > pending.deadline) {
-      deadline_misses_.fetch_add(1);
-      errors_.fetch_add(1);
       complete(pending.connection,
                format_response(make_error(pending.request.id,
                                           ServeErrorCode::kDeadline,
@@ -483,11 +501,10 @@ void BettiServer::execute_batch(std::vector<Pending> batch) {
   // from the histogram that a client already heard back about.
   const auto finish = [this](const Pending& pending, std::string line) {
     if (telemetry::enabled())
-      serve_histograms().request_latency.record(ns_since(pending.admitted_at));
+      serve_metrics().request_latency.record(ns_since(pending.admitted_at));
     complete(pending.connection, std::move(line));
   };
-  if (telemetry::enabled())
-    serve_histograms().batch_size.record(live.size());
+  if (telemetry::enabled()) serve_metrics().batch_size.record(live.size());
 
   if (live.size() == 1) {
     EstimateResponse response = execute_single(live.front().request);
@@ -520,8 +537,8 @@ void BettiServer::execute_batch(std::vector<Pending> batch) {
       estimates = estimate_betti_batch(artifacts.plan->compiled,
                                        request_options);
     }
-    batches_.fetch_add(1);
-    batched_requests_.fetch_add(live.size());
+    serve_metrics().batches.add(1);
+    serve_metrics().batched_requests.add(live.size());
     for (std::size_t i = 0; i < live.size(); ++i) {
       EstimateResponse response;
       response.id = live[i].request.id;
@@ -539,8 +556,6 @@ void BettiServer::execute_batch(std::vector<Pending> batch) {
     // clients will retry anyway — and with per-member deadlines all in the
     // past, they would cancel again immediately).
     for (const Pending& pending : live) {
-      deadline_misses_.fetch_add(1);
-      errors_.fetch_add(1);
       finish(pending,
              format_response(make_error(pending.request.id,
                                         ServeErrorCode::kDeadline,
@@ -548,7 +563,6 @@ void BettiServer::execute_batch(std::vector<Pending> batch) {
     }
   } catch (const std::exception& error) {
     for (const Pending& pending : live) {
-      errors_.fetch_add(1);
       finish(pending, format_response(make_error(pending.request.id,
                                                  ServeErrorCode::kInternal,
                                                  error.what())));
@@ -556,56 +570,8 @@ void BettiServer::execute_batch(std::vector<Pending> batch) {
   }
 }
 
-ServerStats BettiServer::stats() const {
-  ServerStats stats;
-  stats.complexes = store_.complex_stats();
-  stats.laplacians = store_.laplacian_stats();
-  stats.plans = store_.plan_stats();
-  stats.expm = expm_coefficient_cache_stats();
-  stats.admitted = admitted_.load();
-  stats.completed = completed_.load();
-  stats.errors = errors_.load();
-  stats.batches = batches_.load();
-  stats.batched_requests = batched_requests_.load();
-  stats.deadline_misses = deadline_misses_.load();
-  stats.shed = shed_.load();
-  return stats;
-}
-
-std::string BettiServer::stats_line() const {
-  const ServerStats stats = this->stats();
-  std::ostringstream out;
-  const auto cache = [&out](const char* name, const CacheStats& level) {
-    out << ' ' << name << "_hits=" << level.hits << ' ' << name
-        << "_misses=" << level.misses << ' ' << name
-        << "_evictions=" << level.evictions << ' ' << name
-        << "_entries=" << level.entries << ' ' << name
-        << "_bytes=" << level.bytes;
-  };
-  out << "stats admitted=" << stats.admitted
-      << " completed=" << stats.completed << " errors=" << stats.errors
-      << " batches=" << stats.batches
-      << " batched_requests=" << stats.batched_requests
-      << " deadline_misses=" << stats.deadline_misses
-      << " shed=" << stats.shed;
-  cache("complex", stats.complexes);
-  cache("laplacian", stats.laplacians);
-  cache("plan", stats.plans);
-  out << " expm_hits=" << stats.expm.hits
-      << " expm_misses=" << stats.expm.misses
-      << " expm_evictions=" << stats.expm.evictions
-      << " expm_entries=" << stats.expm.entries;
-  return out.str();
-}
-
-std::string BettiServer::metrics_json_line() const {
-  const ServerStats stats = this->stats();
-  return render_metrics_json(collect_metrics(&stats));
-}
-
-std::string BettiServer::metrics_prometheus_text() const {
-  const ServerStats stats = this->stats();
-  return render_prometheus(collect_metrics(&stats));
+MetricsReport BettiServer::metrics() const {
+  return collect_metrics(&store_);
 }
 
 }  // namespace qtda

@@ -31,6 +31,13 @@
 /// violations draw a non-retryable `limit` error.  A request that throws
 /// anything unexpected is answered with `internal` and the worker survives
 /// (poison-request isolation).
+///
+/// Counting: every served event is counted once, in the process-wide
+/// telemetry registry — `serve.admitted`, `serve.completed`,
+/// `serve.batches`, `serve.batched_requests`, and `serve.errors.<code>` for
+/// each refusal, counted before its reply is written — and the `stats` and
+/// `metrics` verbs render the same report (serve/metrics.hpp), which
+/// metrics() also returns.  start() enables telemetry.
 #pragma once
 
 #include <atomic>
@@ -43,8 +50,8 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "linalg/expm_multiply.hpp"
 #include "serve/artifact_cache.hpp"
+#include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/transport.hpp"
 
@@ -66,30 +73,11 @@ struct ServerOptions {
                             ///< parallel; more workers mainly help batching
                             ///< overlap compilation with execution)
   bool batching = true;     ///< coalesce identical-plan requests
-  bool telemetry = true;    ///< enable the process-wide telemetry registry
-                            ///< on start() (a served process wants its
-                            ///< metrics verb populated; the overhead is one
-                            ///< relaxed atomic per span plus clock reads)
   std::size_t max_queue = 0;  ///< admission-queue bound; 0 = unbounded.
                               ///< Requests past the bound are shed with a
                               ///< retryable `overloaded` error.
   std::uint64_t shed_retry_after_ms = 5;  ///< backoff hint on shed responses
   RequestLimits limits;     ///< per-request resource caps
-};
-
-/// A stats snapshot (the `stats` protocol command renders this).
-struct ServerStats {
-  CacheStats complexes;
-  CacheStats laplacians;
-  CacheStats plans;
-  ExpmCoefficientCacheStats expm;
-  std::size_t admitted = 0;
-  std::size_t completed = 0;
-  std::size_t errors = 0;
-  std::size_t batches = 0;           ///< executions serving > 1 request
-  std::size_t batched_requests = 0;  ///< requests served by those executions
-  std::size_t deadline_misses = 0;
-  std::size_t shed = 0;              ///< requests refused by the queue bound
 };
 
 /// The service.  One instance owns the artifact store and all threads.
@@ -117,7 +105,10 @@ class BettiServer {
   /// from one of the server's own threads.
   void stop();
 
-  ServerStats stats() const;
+  /// The report the `stats` and `metrics` verbs render: the registry plus
+  /// this server's cache levels and the expm memo.  The registry is
+  /// process-wide, so per-server counts are deltas between two reports.
+  MetricsReport metrics() const;
 
   /// Synchronous single-request execution through the caches — the same
   /// code path the workers run, minus queueing.  Exposed for tests and the
@@ -160,9 +151,6 @@ class BettiServer {
   static std::string batch_key_of(const EstimateRequest& request);
   EstimateResponse execute_single(const EstimateRequest& request);
   void execute_batch(std::vector<Pending> batch);
-  std::string stats_line() const;
-  std::string metrics_json_line() const;
-  std::string metrics_prometheus_text() const;
 
   ServerOptions options_;
   ArtifactStore store_;
@@ -193,14 +181,6 @@ class BettiServer {
   std::atomic<bool> workers_done_{false};
   Mutex stop_mutex_;
   CondVar stop_requested_;
-
-  std::atomic<std::size_t> admitted_{0};
-  std::atomic<std::size_t> completed_{0};
-  std::atomic<std::size_t> errors_{0};
-  std::atomic<std::size_t> batches_{0};
-  std::atomic<std::size_t> batched_requests_{0};
-  std::atomic<std::size_t> deadline_misses_{0};
-  std::atomic<std::size_t> shed_{0};
 };
 
 }  // namespace qtda

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -181,52 +182,19 @@ class FdConnection final : public Connection {
   }
 
   std::optional<std::string> read_line() override {
-    for (;;) {
-      const auto newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;  // signal: retry the read
-      if (n <= 0) return std::nullopt;        // EOF, error, or shutdown
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
+    return next_line(std::nullopt, nullptr);
   }
 
   std::optional<std::string> read_line_for(std::uint64_t timeout_ms,
                                            bool* timed_out) override {
-    if (timed_out != nullptr) *timed_out = false;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    for (;;) {
-      const auto newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
-        if (timed_out != nullptr) *timed_out = true;
-        return std::nullopt;
-      }
-      const auto remaining_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-              .count();
-      pollfd poller{fd_, POLLIN, 0};
-      const int ready = ::poll(
-          &poller, 1, static_cast<int>(std::max<long long>(1, remaining_ms)));
-      if (ready < 0 && errno != EINTR) return std::nullopt;
-      if (ready <= 0) continue;  // timeout slice or EINTR: re-check deadline
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return std::nullopt;  // EOF, error, or shutdown
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
+    return next_line(std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(timeout_ms),
+                     timed_out);
+  }
+
+  void set_max_line_bytes(std::size_t max_line_bytes) override {
+    // max_line_bytes + 1, saturating.
+    kept_line_bytes_ = std::max(max_line_bytes, max_line_bytes + 1);
   }
 
   bool write_line(const std::string& line) override {
@@ -257,8 +225,74 @@ class FdConnection final : public Connection {
   }
 
  private:
+  /// The scan loop behind read_line (no deadline) and read_line_for.
+  std::optional<std::string> next_line(
+      std::optional<std::chrono::steady_clock::time_point> deadline,
+      bool* timed_out) {
+    if (timed_out != nullptr) *timed_out = false;
+    for (;;) {
+      const std::size_t newline = buffer_.find('\n', scanned_);
+      if (newline != std::string::npos) {
+        std::string line = buffer_.substr(
+            line_start_, std::min(newline - line_start_, kept_line_bytes_));
+        line_start_ = scanned_ = newline + 1;
+        return line;
+      }
+      if (buffer_.size() - line_start_ > kept_line_bytes_) {
+        buffer_.resize(line_start_ + kept_line_bytes_);
+        discarding_ = true;
+      }
+      scanned_ = buffer_.size();  // resume the newline search here
+      if (deadline.has_value()) {
+        const auto now = std::chrono::steady_clock::now();
+        if (now >= *deadline) {
+          if (timed_out != nullptr) *timed_out = true;
+          return std::nullopt;
+        }
+        const auto remaining_ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(*deadline -
+                                                                  now)
+                .count();
+        pollfd poller{fd_, POLLIN, 0};
+        const int ready = ::poll(
+            &poller, 1, static_cast<int>(std::max<long long>(1, remaining_ms)));
+        if (ready < 0 && errno != EINTR) return std::nullopt;
+        if (ready <= 0) continue;  // timeout slice or EINTR: re-check deadline
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n < 0 && errno == EINTR) continue;  // signal: retry the read
+      if (n <= 0) return std::nullopt;        // EOF, error, or shutdown
+      append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+  /// Appends received bytes, dropping those of an over-long line up to its
+  /// newline.  Consumed lines are compacted away here, once per receive.
+  void append(const char* data, std::size_t size) {
+    buffer_.erase(0, line_start_);
+    scanned_ -= line_start_;
+    line_start_ = 0;
+    if (discarding_) {
+      const char* newline =
+          static_cast<const char*>(std::memchr(data, '\n', size));
+      if (newline == nullptr) return;
+      size -= static_cast<std::size_t>(newline - data);
+      data = newline;  // the newline ends the truncated line
+      discarding_ = false;
+    }
+    buffer_.append(data, size);
+  }
+
   int fd_;
-  std::string buffer_;  ///< only the (single) reader thread touches this
+  // Reader state; only the (single) reader thread touches it.
+  std::string buffer_;
+  std::size_t line_start_ = 0;  ///< first byte of the line being read
+  std::size_t scanned_ = 0;     ///< bytes before this hold no newline
+  bool discarding_ = false;     ///< dropping an over-long line's tail
+  /// Bytes of one line a read keeps (max_line_bytes + 1; unbounded until
+  /// set_max_line_bytes).
+  std::size_t kept_line_bytes_ = std::numeric_limits<std::size_t>::max();
   Mutex write_mutex_;   ///< guards the fd's write side (whole-line framing)
   std::atomic<bool> closed_{false};
 };

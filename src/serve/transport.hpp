@@ -16,6 +16,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -42,6 +43,16 @@ class Connection {
     (void)timeout_ms;
     if (timed_out != nullptr) *timed_out = false;
     return read_line();
+  }
+
+  /// Caps what a read buffers of one line: a longer line is read as its
+  /// first \p max_line_bytes + 1 bytes, and the rest of it, through the
+  /// next newline, is discarded as it arrives — so the server's size check
+  /// refuses it without ever holding it.  Set before the first read.  The
+  /// base implementation does nothing: an in-process transport hands over
+  /// lines its writer already built.
+  virtual void set_max_line_bytes(std::size_t max_line_bytes) {
+    (void)max_line_bytes;
   }
 
   /// Writes one line (the newline is appended).  Returns false once the

@@ -16,6 +16,7 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "metrics_delta.hpp"
 #include "serve/chaos.hpp"
 #include "serve/client.hpp"
 #include "serve/errors.hpp"
@@ -25,6 +26,8 @@
 
 namespace qtda {
 namespace {
+
+using testing::counter_delta;
 
 std::vector<std::vector<double>> circle_points(std::size_t n) {
   std::vector<std::vector<double>> points;
@@ -339,6 +342,7 @@ TEST(Server, ShedsPastQueueBoundWithRetryableOverloaded) {
   options.max_queue = 1;
   options.shed_retry_after_ms = 3;
   BettiServer server(options);
+  const MetricsReport before = server.metrics();
   LoopbackTransport transport;
   server.start(transport);
 
@@ -367,9 +371,11 @@ TEST(Server, ShedsPastQueueBoundWithRetryableOverloaded) {
   }
   EXPECT_EQ(ok + overloaded, kBurst);
   EXPECT_GT(overloaded, 0);
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.shed, static_cast<std::size_t>(overloaded));
-  EXPECT_EQ(stats.admitted, static_cast<std::size_t>(ok));
+  const MetricsReport after = server.metrics();
+  EXPECT_EQ(counter_delta(before, after, "serve.errors.overloaded"),
+            static_cast<std::uint64_t>(overloaded));
+  EXPECT_EQ(counter_delta(before, after, "serve.admitted"),
+            static_cast<std::uint64_t>(ok));
 
   // A retrying client against the same saturated server eventually lands
   // every request — shedding degrades into backoff, not failure.
@@ -449,6 +455,7 @@ TEST(Server, RejectsOversizedLinesBeforeParsing) {
 
 TEST(Server, CancelsExecutionPastDeadline) {
   BettiServer server(small_server_options());
+  const MetricsReport before = server.metrics();
   LoopbackTransport transport;
   server.start(transport);
   ServeClient client(transport.connect());
@@ -471,7 +478,8 @@ TEST(Server, CancelsExecutionPastDeadline) {
     EXPECT_EQ(error.code(), ServeErrorCode::kDeadline) << error.what();
     EXPECT_FALSE(error.retryable());
   }
-  EXPECT_GE(server.stats().deadline_misses, 1u);
+  EXPECT_GE(counter_delta(before, server.metrics(), "serve.errors.deadline"),
+            1u);
 
   // The worker survived the cancellation and keeps serving.
   const EstimateResponse after = client.estimate(chaos_request(100));

@@ -3,6 +3,7 @@
 // a served estimate must equal the cold CLI path bit for bit, no matter
 // which cache levels answered or how requests were coalesced.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -11,9 +12,11 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,13 +27,16 @@
 #include "linalg/expm_multiply.hpp"
 #include "linalg/matrix_exp.hpp"
 #include "linalg/sparse_matrix.hpp"
+#include "metrics_delta.hpp"
 #include "quantum/pauli.hpp"
 #include "quantum/statevector.hpp"
 #include "quantum/trotter.hpp"
 #include "scoped_env.hpp"
 #include "serve/artifact_cache.hpp"
 #include "serve/client.hpp"
+#include "serve/errors.hpp"
 #include "serve/fingerprint.hpp"
+#include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
@@ -41,6 +47,8 @@
 namespace qtda {
 namespace {
 
+using testing::counter_delta;
+using testing::error_delta;
 using testing::ScopedSimulatorEnv;
 using testing::unfused_plan;
 
@@ -422,7 +430,8 @@ TEST(ServeBitIdentity, ServedEstimateMatchesCliPathColdAndWarm) {
     EXPECT_TRUE(warm.laplacian_hit);
     expect_same_estimate_bytes(warm.estimate, cli);
   }
-  EXPECT_EQ(server.stats().plans.entries, std::size(kAllBackends));
+  EXPECT_EQ(server.metrics().gauges.at("cache.plan.entries"),
+            static_cast<std::int64_t>(std::size(kAllBackends)));
 }
 
 TEST(ServeBitIdentity, EmptyComplexShortCircuitsLikeEstimateBetti) {
@@ -517,6 +526,7 @@ TEST(ServeServer, ConcurrentLoopbackClientsGetBitIdenticalAnswers) {
   }
 
   BettiServer server;
+  const MetricsReport before = server.metrics();
   LoopbackTransport transport;
   server.start(transport);
 
@@ -548,13 +558,14 @@ TEST(ServeServer, ConcurrentLoopbackClientsGetBitIdenticalAnswers) {
   ServeClient observer(transport.connect());
   const std::string stats = observer.stats();
   EXPECT_EQ(stats.rfind("stats ", 0), 0u) << stats;
-  EXPECT_NE(stats.find("admitted="), std::string::npos);
+  EXPECT_NE(stats.find(" serve.admitted="), std::string::npos);
   observer.shutdown();
   server.stop();
 
-  const ServerStats totals = server.stats();
-  EXPECT_GE(totals.admitted, static_cast<std::size_t>(kThreads * kPerThread));
-  EXPECT_EQ(totals.errors, 0u);
+  const MetricsReport after = server.metrics();
+  EXPECT_GE(counter_delta(before, after, "serve.admitted"),
+            static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(error_delta(before, after), 0u);
 }
 
 TEST(ServeServer, ExactBurstReturnsTheCliBytesForEveryRequest) {
@@ -575,6 +586,7 @@ TEST(ServeServer, ExactBurstReturnsTheCliBytesForEveryRequest) {
   }
 
   BettiServer server;
+  const MetricsReport before = server.metrics();
   LoopbackTransport transport;
   server.start(transport);
   std::vector<EstimateResponse> responses(expected.size());
@@ -602,7 +614,7 @@ TEST(ServeServer, ExactBurstReturnsTheCliBytesForEveryRequest) {
     ASSERT_TRUE(responses[i].ok) << responses[i].error;
     expect_same_estimate_bytes(responses[i].estimate, expected[i]);
   }
-  EXPECT_EQ(server.stats().errors, 0u);
+  EXPECT_EQ(error_delta(before, server.metrics()), 0u);
 }
 
 /// A numeric field of /proc/self/status, e.g. "Threads:" or "VmSize:" (in
@@ -655,6 +667,160 @@ TEST(ServeServer, SequentialConnectionsDoNotAccumulateReaderThreads) {
   EXPECT_LE(threads, threads_bound);
   EXPECT_LE(vm_kb, vm_bound_kb);
   server.stop();
+}
+
+// ------------------------------------------------------ one metrics report
+
+/// The fields of a `stats` line, name → value text.
+std::map<std::string, std::string> stats_fields(const std::string& line) {
+  std::istringstream tokens(line);
+  std::string token;
+  tokens >> token;
+  EXPECT_EQ(token, "stats") << line;
+  std::map<std::string, std::string> fields;
+  while (tokens >> token) {
+    const std::size_t equals = token.find('=');
+    EXPECT_NE(equals, std::string::npos) << token;
+    if (equals != std::string::npos)
+      fields[token.substr(0, equals)] = token.substr(equals + 1);
+  }
+  return fields;
+}
+
+/// A per-test socket path, so parallel test processes never share one.
+std::string socket_path(const std::string& name) {
+  return ::testing::TempDir() + "qtda_" + name + "_" +
+         std::to_string(::getpid()) + ".sock";
+}
+
+// `stats` is a one-line view of the `metrics` report: on a quiescent server
+// it names exactly the report's counters and gauges, with the same values,
+// and neither surface carries the retired duplicates.
+TEST(ServeMetrics, StatsLineIsAViewOfTheMetricsReport) {
+  ServerOptions options;
+  options.limits.max_shots = 1000;
+  BettiServer server(options);
+  LoopbackTransport transport;
+  server.start(transport);
+  ServeClient client(transport.connect());
+  EstimateRequest request;
+  request.points = circle_points(8);
+  request.epsilon = 1.0;
+  request.k = 1;
+  request.options = sparse_options();
+  request.options.shots = 64;
+  ASSERT_TRUE(client.estimate(request).ok);
+  ASSERT_TRUE(client.estimate(request).ok);
+  request.options.shots = 5000;
+  EXPECT_THROW(client.estimate(request), ServeError);
+
+  const std::map<std::string, std::string> fields =
+      stats_fields(client.stats());
+  const MetricsReport metrics = client.metrics();
+  for (const auto& [name, value] : fields) {
+    SCOPED_TRACE(name);
+    const auto counter = metrics.counters.find(name);
+    const auto gauge = metrics.gauges.find(name);
+    if (counter != metrics.counters.end()) {
+      EXPECT_EQ(value, std::to_string(counter->second));
+    } else {
+      ASSERT_NE(gauge, metrics.gauges.end()) << "not in the metrics report";
+      EXPECT_EQ(value, std::to_string(gauge->second));
+    }
+  }
+  EXPECT_EQ(fields.size(), metrics.counters.size() + metrics.gauges.size());
+  for (const char* name :
+       {"serve.admitted", "serve.completed", "serve.batches",
+        "serve.batched_requests", "serve.errors.limit", "cache.plan.hits",
+        "cache.plan.entries", "cache.expm.hits", "serve.queue_depth"})
+    EXPECT_EQ(fields.count(name), 1u) << name;
+  EXPECT_NE(fields.at("serve.errors.limit"), "0");
+  for (const char* retired :
+       {"serve.shed", "serve.deadline_misses", "serve.errors", "admitted"}) {
+    EXPECT_EQ(fields.count(retired), 0u) << retired;
+    EXPECT_EQ(metrics.counters.count(retired), 0u) << retired;
+  }
+  client.shutdown();
+  server.stop();
+}
+
+// A refusal is counted before its reply is written: a client that has read
+// a `limit` or a `protocol` reply sees it counted by its very next scrape
+// on another connection, on either surface.  Over a real socket, as a
+// daemon's clients see it.
+TEST(ServeMetrics, RefusalsAreCountedBeforeTheirRepliesAreWritten) {
+  ServerOptions options;
+  options.limits.max_shots = 10;
+  BettiServer server(options);
+  UnixSocketTransport transport(socket_path("refusals"));
+  server.start(transport);
+  const std::shared_ptr<Connection> offender = connect_unix(transport.path());
+  ServeClient observer(connect_unix(transport.path()));
+  EstimateRequest request;
+  request.id = "over";
+  request.points = circle_points(4);
+  request.epsilon = 1.0;
+  request.k = 1;
+  request.options = sparse_options();  // 512 shots > max_shots
+  const std::string over_limit = format_request(request);
+
+  MetricsReport previous = observer.metrics();
+  // Sends \p line, reads its reply, then scrapes `stats` and `metrics`:
+  // both must show exactly one more refusal, counted under \p code.
+  const auto refuse_and_scrape = [&](const std::string& line,
+                                     ServeErrorCode code) {
+    ASSERT_TRUE(offender->write_line(line));
+    const std::optional<std::string> reply = offender->read_line();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(parse_response(*reply).code, code) << *reply;
+    const std::string name =
+        std::string("serve.errors.") + serve_error_name(code);
+    const std::map<std::string, std::string> fields =
+        stats_fields(observer.stats());
+    ASSERT_EQ(fields.count(name), 1u) << name;
+    EXPECT_EQ(fields.at(name), std::to_string(previous.counters.at(name) + 1))
+        << name;
+    const MetricsReport current = observer.metrics();
+    EXPECT_EQ(counter_delta(previous, current, name), 1u) << name;
+    EXPECT_EQ(error_delta(previous, current), 1u);
+    previous = current;
+  };
+  for (int round = 0; round < 50; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    refuse_and_scrape(over_limit, ServeErrorCode::kLimit);
+    refuse_and_scrape("frobnicate", ServeErrorCode::kProtocol);
+  }
+  offender->close();
+  observer.shutdown();
+  server.stop();
+}
+
+// A socket reader holds at most max_line_bytes + 1 bytes of one line: the
+// rest of an over-long line is dropped as it arrives, the truncated prefix
+// comes back as one line (long enough for the server's size check, and it
+// keeps the request's leading id= token), and the next line is intact.
+TEST(ServeTransport, SocketReadStopsBufferingPastTheLineCap) {
+  UnixSocketTransport transport(socket_path("line_cap"));
+  const std::shared_ptr<Connection> client = connect_unix(transport.path());
+  const std::shared_ptr<Connection> server_side = transport.accept();
+  ASSERT_NE(server_side, nullptr);
+  server_side->set_max_line_bytes(1024);
+
+  const std::string huge = "estimate id=huge " + std::string(1 << 20, 'x');
+  std::thread writer([&client, &huge] {
+    EXPECT_TRUE(client->write_line(huge));
+    EXPECT_TRUE(client->write_line("ping"));
+  });
+  const std::optional<std::string> truncated = server_side->read_line();
+  const std::optional<std::string> next = server_side->read_line();
+  writer.join();
+  ASSERT_TRUE(truncated.has_value());
+  EXPECT_EQ(truncated->size(), 1025u);
+  EXPECT_EQ(*truncated, huge.substr(0, 1025));
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(*next, "ping");
+  client->close();
+  server_side->close();
 }
 
 // --------------------------------------------------------- expm memo bounds

@@ -258,7 +258,7 @@ TEST(TelemetryMetrics, ServeVerbRoundTrip) {
   TelemetryGuard guard;
   ServerOptions options;
   options.cache.budget_bytes = std::size_t{32} << 20;
-  BettiServer server(options);  // options.telemetry enables collection
+  BettiServer server(options);  // start() enables collection
   LoopbackTransport transport;
   server.start(transport);
   ServeClient client(transport.connect());
