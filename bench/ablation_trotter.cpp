@@ -1,11 +1,11 @@
 /// \file ablation_trotter.cpp
 /// \brief Ablation of the e^{iH} oracle: exact controlled powers versus
-/// Trotterized circuits (paper Fig. 7 route), sweeping steps and order,
-/// with and without the peephole optimizer (paper future work: depth
-/// reduction).
+/// Trotterized circuits (paper Fig. 7 route), sweeping steps and order.
 ///
 /// Columns: Trotter error of the estimated p(0) against the exact value,
-/// plus gate count / depth before and after optimization.
+/// plus the fragment's gate count and depth, the ops of its fused plan and
+/// the inverse pairs the compiler cancelled on the way (paper future work:
+/// depth reduction).
 #include <cmath>
 #include <cstdio>
 
@@ -15,7 +15,7 @@
 #include "core/padding.hpp"
 #include "core/scaling.hpp"
 #include "experiment_common.hpp"
-#include "quantum/optimizer.hpp"
+#include "quantum/compiler.hpp"
 #include "quantum/pauli.hpp"
 #include "quantum/trotter.hpp"
 #include "topology/laplacian.hpp"
@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
               exact.exact_zero_probability, 1.0 / 8.0);
 
   std::printf("%-8s %-7s %-12s %-12s %-12s %-12s %-12s %-9s\n", "steps",
-              "order", "|p0 - exact|", "gates", "depth", "gates(opt)",
-              "depth(opt)", "time(s)");
+              "order", "|p0 - exact|", "gates", "depth", "ops",
+              "cancelled", "time(s)");
   bench::print_rule(92);
   for (const int order : {1, 2}) {
     for (const std::size_t steps : {1u, 2u, 4u, 8u, 16u, 32u}) {
@@ -82,15 +82,14 @@ int main(int argc, char** argv) {
       // Circuit-size accounting on the single-power fragment (e^{iH·1}).
       const Circuit fragment =
           trotter_circuit(hamiltonian, 1.0, options.trotter, 3);
-      OptimizerReport report;
-      const Circuit optimized = optimize_circuit(fragment, &report);
+      const CompilerStats fused =
+          compile_circuit(fragment, CompilerOptions{}).stats();
       std::printf("%-8zu %-7d %-12.5f %-12zu %-12zu %-12zu %-12zu %-9.2f\n",
                   steps, order,
                   std::abs(estimate.zero_probability -
                            exact.exact_zero_probability),
-                  report.gates_before, report.depth_before,
-                  report.gates_after, report.depth_after, elapsed);
-      (void)optimized;
+                  fragment.gate_count(), fragment.depth(), fused.gates_after,
+                  fused.cancelled_pairs, elapsed);
     }
   }
   std::printf("\nNote: |p0 − exact| mixes Trotter bias with shot noise "

@@ -1,12 +1,11 @@
 /// \file micro_circuits.cpp
-/// \brief google-benchmark microbenches for circuit synthesis, the
-/// optimizer, and the QPE network builders (paper Figs. 6–7 machinery).
+/// \brief google-benchmark microbenches for circuit synthesis and the QPE
+/// network builders (paper Figs. 6–7 machinery).
 #include <benchmark/benchmark.h>
 
 #include "core/padding.hpp"
 #include "core/scaling.hpp"
 #include "linalg/matrix_exp.hpp"
-#include "quantum/optimizer.hpp"
 #include "quantum/pauli.hpp"
 #include "quantum/qft.hpp"
 #include "quantum/qpe.hpp"
@@ -39,21 +38,6 @@ void BM_TrotterSynthesis(benchmark::State& state) {
   state.counters["depth"] = static_cast<double>(sample.depth());
 }
 BENCHMARK(BM_TrotterSynthesis)->RangeMultiplier(2)->Range(1, 32);
-
-void BM_OptimizerOnTrotterCircuit(benchmark::State& state) {
-  const auto steps = static_cast<std::size_t>(state.range(0));
-  const auto h = worked_example_hamiltonian();
-  const Circuit circuit = trotter_circuit(h, 1.0, {steps, 2}, 3);
-  OptimizerReport report;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(optimize_circuit(circuit, &report).gate_count());
-  }
-  state.counters["gates_before"] = static_cast<double>(report.gates_before);
-  state.counters["gates_after"] = static_cast<double>(report.gates_after);
-  state.counters["depth_before"] = static_cast<double>(report.depth_before);
-  state.counters["depth_after"] = static_cast<double>(report.depth_after);
-}
-BENCHMARK(BM_OptimizerOnTrotterCircuit)->RangeMultiplier(2)->Range(1, 16);
 
 void BM_QftSynthesis(benchmark::State& state) {
   const auto t = static_cast<std::size_t>(state.range(0));

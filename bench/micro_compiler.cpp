@@ -6,9 +6,12 @@
 /// controlled-phase oracle rungs, inverse QFT — executed gate by gate (an
 /// unfused plan) versus through a plan with width-4 gate fusion.  Every
 /// fused block collapses several full passes over the 2^n amplitudes into
-/// one.  BM_SparseQpeEstimate runs the whole sparse-oracle estimator end to
-/// end (compile-once ladder included), and BM_TrajectoryEnsemble times a
-/// noisy trajectory ensemble over one noise-slot plan.
+/// one.  BM_CompileTrotterCircuit times compilation itself on the
+/// worked-example Strang circuits, whose basis walls and CNOT ladders hold
+/// the inverse pairs the compiler cancels.  BM_SparseQpeEstimate runs the
+/// whole sparse-oracle estimator end to end (compile-once ladder included),
+/// and BM_TrajectoryEnsemble times a noisy trajectory ensemble over one
+/// noise-slot plan.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -16,11 +19,15 @@
 
 #include "common/random.hpp"
 #include "core/betti_estimator.hpp"
+#include "core/padding.hpp"
+#include "core/scaling.hpp"
 #include "quantum/backend.hpp"
 #include "quantum/compiler.hpp"
 #include "quantum/noise.hpp"
+#include "quantum/pauli.hpp"
 #include "quantum/qft.hpp"
 #include "quantum/qpe.hpp"
+#include "quantum/trotter.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/simplicial_complex.hpp"
 
@@ -77,6 +84,30 @@ void BM_QpeNetworkSweepFused(benchmark::State& state) {
   state.counters["fused_ops"] = static_cast<double>(plan.ops().size());
 }
 BENCHMARK(BM_QpeNetworkSweepFused)->Arg(12)->Arg(14)->Arg(16);
+
+/// Compiles the worked-example Strang circuit e^{iH} (Eq. 18 with
+/// δ = λmax, 24 Pauli terms) at Arg steps: inverse-pair cancellation plus
+/// fusion, the work every Trotter estimate does once per plan.
+void BM_CompileTrotterCircuit(benchmark::State& state) {
+  const auto steps = static_cast<std::size_t>(state.range(0));
+  const auto complex = SimplicialComplex::from_simplices(
+      {Simplex{1, 2, 3}, Simplex{3, 4}, Simplex{3, 5}, Simplex{4, 5}}, true);
+  const auto scaled = rescale_laplacian_sparse(
+      pad_laplacian_sparse(sparse_combinatorial_laplacian(complex, 1)), 6.0);
+  const Circuit circuit =
+      trotter_circuit(pauli_decompose(scaled.matrix), 1.0, {steps, 2}, 3);
+  CompilerStats stats;
+  for (auto _ : state) {
+    const ExecutionPlan plan = compile_circuit(circuit, CompilerOptions{});
+    stats = plan.stats();
+    benchmark::DoNotOptimize(plan.ops().data());
+  }
+  state.counters["gates"] = static_cast<double>(stats.gates_before);
+  state.counters["ops"] = static_cast<double>(stats.gates_after);
+  state.counters["cancelled_pairs"] =
+      static_cast<double>(stats.cancelled_pairs);
+}
+BENCHMARK(BM_CompileTrotterCircuit)->Arg(1)->Arg(4)->Arg(16);
 
 /// Full sparse-oracle Betti estimate (pipeline default): circuit built,
 /// compiled once, executed with the fused plan and the shared-coefficient

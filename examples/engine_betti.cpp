@@ -17,8 +17,8 @@
 ///        --trajectories <n>  ensemble size for the density verify (200)
 ///        --seed <n>          RNG seed (default 29)
 ///        --stats             print the circuit compiler's report (gates
-///                            before/after fusion, fused-block histogram),
-///                            the peephole optimizer's, and a telemetry
+///                            before, ops after, inverse pairs cancelled,
+///                            fused-block histogram) and a telemetry
 ///                            snapshot (spans, counters, per-op-kind time)
 ///                            for the very circuit the estimate executed
 ///        --verify            density-matrix only: check a
@@ -36,7 +36,6 @@
 #include "core/betti_estimator.hpp"
 #include "quantum/backend.hpp"
 #include "quantum/compiler.hpp"
-#include "quantum/optimizer.hpp"
 #include "topology/betti.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/random_complex.hpp"
@@ -165,7 +164,7 @@ int main(int argc, char** argv) {
   if (args.get_bool("stats")) {
     // The same circuit the estimate just executed, compiled under the very
     // policy the estimator used (noisy estimates run noise-slot plans, so
-    // the report reflects that), next to the peephole optimizer's view.
+    // the report reflects that).
     const Circuit circuit = build_qtda_circuit(laplacian, options);
     const ExecutionPlan plan =
         compile_circuit(circuit, estimator_compiler_options(options.noise));
@@ -179,14 +178,6 @@ int main(int argc, char** argv) {
                 simd_level_name(active_simd_level()).c_str(),
                 simd_level_name(detected_simd_level()).c_str(),
                 precision_name(precision).c_str());
-    OptimizerReport report;
-    optimize_circuit(circuit, &report);
-    std::printf(
-        "optimizer: %zu -> %zu gates, depth %zu -> %zu (%zu pairs "
-        "cancelled, %zu rotations merged, %zu dropped)\n",
-        report.gates_before, report.gates_after, report.depth_before,
-        report.depth_after, report.cancelled_pairs, report.merged_rotations,
-        report.dropped_rotations);
     // Telemetry collected by the run above: pipeline spans (rips is absent
     // here — the complex is random, not a Rips build), estimator counters,
     // and the executor's per-op-kind time split.

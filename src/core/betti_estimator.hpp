@@ -117,8 +117,8 @@ struct BettiEstimate {
   std::size_t circuit_depth = 0;     ///< 0 for the analytic backend
 };
 
-/// The compile policy of the estimator's execution stage: environment-driven
-/// fusion knobs (QTDA_FUSE / QTDA_FUSE_WIDTH), with noise slots preserved
+/// The compile policy of the estimator's execution stage: the
+/// environment-driven fusion switch (QTDA_FUSE), with noise slots preserved
 /// whenever the noise model is active so error placement and RNG order are
 /// those of a gate-by-gate walk.  Exposed so stats/diagnostic surfaces report the
 /// plan the estimator actually runs instead of re-deriving the policy.
@@ -127,8 +127,8 @@ CompilerOptions estimator_compiler_options(const NoiseModel& noise);
 /// Builds the paper's full circuit (Fig. 2 purification prep when the
 /// mixed-state mode asks for it, plus the Fig. 6 QPE network) for a given
 /// Laplacian — the circuit compile_betti_estimate compiles, exposed for
-/// circuit-level studies: depth accounting, the optimizer, and exact
-/// density-matrix noise analysis.  Requires a circuit backend in
+/// circuit-level studies: depth accounting, the compiler's report, and
+/// exact density-matrix noise analysis.  Requires a circuit backend in
 /// `options.backend`, which picks the controlled powers: Chebyshev operator
 /// gates (kCircuitSparse), Trotterized Pauli fragments (kCircuitTrotter) or
 /// dense unitaries (kCircuitExact).

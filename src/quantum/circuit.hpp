@@ -2,8 +2,8 @@
 /// \brief Gate-level circuit intermediate representation.
 ///
 /// Circuits are flat gate lists over a fixed-width register.  Named
-/// single-qubit gates keep their identity (so the peephole optimizer can
-/// merge/cancel them); arbitrary unitaries are carried as dense matrices
+/// single-qubit gates keep their identity (so the compiler can cancel
+/// inverse pairs of them); arbitrary unitaries are carried as dense matrices
 /// over an ordered target list.  Any gate may carry controls, and a whole
 /// circuit can be promoted to its controlled version — this is how the
 /// QPE builder controls the Trotterized e^{iH} fragments.

@@ -13,8 +13,12 @@ namespace qtda {
 
 namespace {
 
-/// Hard ceiling of the fused dense-block support (2^8×2^8 blocks).
-constexpr std::size_t kMaxFuseWidth = 8;
+/// Widest fused dense block (2^4×2^4).
+constexpr std::size_t kFuseWidth = 4;
+/// Widest fused diagonal: a 4096-entry table (64 KB) stays cache-resident
+/// and lets a whole QPE controlled-phase ladder collapse into a handful of
+/// passes.  register_layout.hpp's apply_diagonal_run dispatch covers it.
+constexpr std::size_t kDiagonalWidth = 12;
 
 // -- cost model --------------------------------------------------------------
 // Per-amplitude costs in units of one complex multiply, used to decide
@@ -205,6 +209,66 @@ void multiply_gate_diagonal(std::vector<Amplitude>& diag,
   }
 }
 
+// -- inverse-pair cancellation -----------------------------------------------
+
+/// True when \p b undoes \p a exactly: the same self-inverse kind, or S/Sdg
+/// or T/Tdg in either order, on identical targets and controls.
+bool cancels(const Gate& a, const Gate& b) {
+  const auto inverse = [](GateKind x, GateKind y) {
+    return (x == GateKind::kS && y == GateKind::kSdg) ||
+           (x == GateKind::kT && y == GateKind::kTdg);
+  };
+  const bool kinds = a.kind == b.kind ? is_self_inverse(a.kind)
+                                      : inverse(a.kind, b.kind) ||
+                                            inverse(b.kind, a.kind);
+  return kinds && a.targets == b.targets && a.controls == b.controls;
+}
+
+template <typename F>
+void for_each_wire(const Gate& gate, F&& f) {
+  for (std::size_t q : gate.targets) f(q);
+  for (std::size_t q : gate.controls) f(q);
+}
+
+/// Flags the gates that cancel in pairs and returns the pair count.  Each
+/// wire keeps a stack of the kept gates on it (threaded through `below`): a
+/// gate cancels the gate on top of all of its wires when that is one and
+/// the same gate and the two undo each other, so nothing kept lies between
+/// them on any of their wires.  Popping the pair re-exposes the gates under
+/// it, so a cascade (X H H X) cancels in this one pass.
+std::size_t mark_cancelled_pairs(const Circuit& circuit,
+                                 std::vector<char>& cancelled) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  const std::vector<Gate>& gates = circuit.gates();
+  std::vector<std::size_t> top(circuit.num_qubits(), kNone);
+  // below[first[i] + w]: the kept gate under gate i on its w-th wire
+  // (targets, then controls).
+  std::vector<std::size_t> first(gates.size());
+  std::vector<std::size_t> below;
+  below.reserve(2 * gates.size());
+  cancelled.assign(gates.size(), 0);
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    const Gate& gate = gates[i];
+    const std::size_t under = top[gate.targets.front()];
+    bool on_top = under != kNone;
+    for_each_wire(gate, [&](std::size_t q) { on_top &= top[q] == under; });
+    if (on_top && cancels(gates[under], gate)) {
+      std::size_t slot = first[under];
+      for_each_wire(gate, [&](std::size_t q) { top[q] = below[slot++]; });
+      cancelled[under] = cancelled[i] = 1;
+      ++pairs;
+      continue;
+    }
+    first[i] = below.size();
+    for_each_wire(gate, [&](std::size_t q) {
+      below.push_back(top[q]);
+      top[q] = i;
+    });
+  }
+  return pairs;
+}
+
 // -- fusion clusters ---------------------------------------------------------
 
 /// An open fusion cluster (or a closed passthrough op awaiting emission).
@@ -373,29 +437,12 @@ CompilerOptions compiler_options_from_env(CompilerOptions base) {
                                    "(use 0 or 1)");
     base.fuse = value == "1";
   }
-  if (const char* width = std::getenv("QTDA_FUSE_WIDTH");
-      width != nullptr && *width != '\0') {
-    char* end = nullptr;
-    const long value = std::strtol(width, &end, 10);
-    QTDA_REQUIRE(end != width && *end == '\0' && value >= 1,
-                 "QTDA_FUSE_WIDTH=\""
-                     << width
-                     << "\" is not a valid fused-block width (need an "
-                        "integer >= 1)");
-    base.fuse_width = static_cast<std::size_t>(value);
-    // The override is the user saying "no fused support wider than this" —
-    // it bounds the diagonal tables too, so forcing width 1 approaches the
-    // gate-by-gate walk instead of leaving 12-wide diagonals behind.
-    base.diagonal_width =
-        std::min(base.diagonal_width, static_cast<std::size_t>(value));
-  }
   return base;
 }
 
 std::string compiler_options_cache_key(const CompilerOptions& options) {
   std::ostringstream os;
-  os << "fuse=" << (options.fuse ? 1 : 0) << ",width=" << options.fuse_width
-     << ",diag=" << options.diagonal_width
+  os << "fuse=" << (options.fuse ? 1 : 0)
      << ",noise=" << (options.preserve_noise_slots ? 1 : 0);
   return os.str();
 }
@@ -435,7 +482,8 @@ std::size_t ExecutionPlan::memory_bytes() const {
 std::string CompilerStats::to_string() const {
   std::ostringstream os;
   os << "compiled " << gates_before << " gates -> " << gates_after
-     << " ops (" << fused_blocks << " fused blocks, " << diagonal_blocks
+     << " ops (" << cancelled_pairs << " inverse pairs cancelled, "
+     << fused_blocks << " fused blocks, " << diagonal_blocks
      << " of them diagonal, " << operator_gates << " operator gates)\n";
   for (std::size_t w = 0; w < block_width_histogram.size(); ++w) {
     if (block_width_histogram[w] == 0) continue;
@@ -457,6 +505,8 @@ void record_compile_telemetry(const CompilerStats& stats) {
       telemetry::registry().counter("compiler.gates_before");
   static telemetry::Counter& gates_after =
       telemetry::registry().counter("compiler.gates_after");
+  static telemetry::Counter& cancelled_pairs =
+      telemetry::registry().counter("compiler.cancelled_pairs");
   static telemetry::Counter& fused_blocks =
       telemetry::registry().counter("compiler.fused_blocks");
   static telemetry::Counter& diagonal_blocks =
@@ -466,6 +516,7 @@ void record_compile_telemetry(const CompilerStats& stats) {
   compilations.add(1);
   gates_before.add(stats.gates_before);
   gates_after.add(stats.gates_after);
+  cancelled_pairs.add(stats.cancelled_pairs);
   fused_blocks.add(stats.fused_blocks);
   diagonal_blocks.add(stats.diagonal_blocks);
   operator_gates.add(stats.operator_gates);
@@ -482,13 +533,10 @@ ExecutionPlan compile_circuit(const Circuit& circuit,
   plan.noise_slots_ = options.preserve_noise_slots;
   plan.stats_.gates_before = circuit.gate_count();
 
-  // Noise slots pin one op per source gate: fusing across gates would move
-  // the state the depolarizing events see and break RNG-order parity.
+  // Noise slots pin one op per source gate: cancelling or fusing across
+  // gates would move the state the depolarizing events see and break
+  // RNG-order parity.
   const bool fuse = options.fuse && !options.preserve_noise_slots;
-  const std::size_t width =
-      std::min(std::max<std::size_t>(options.fuse_width, 1), kMaxFuseWidth);
-  const std::size_t diagonal_width = std::min(
-      std::max<std::size_t>(options.diagonal_width, 1), kMaxDiagonalWidth);
 
   if (!fuse) {
     plan.ops_.reserve(circuit.gate_count());
@@ -509,6 +557,10 @@ ExecutionPlan compile_circuit(const Circuit& circuit,
     return plan;
   }
 
+  // Exact inverse pairs go first, so no cluster ever absorbs them.
+  std::vector<char> cancelled;
+  plan.stats_.cancelled_pairs = mark_cancelled_pairs(circuit, cancelled);
+
   // Greedy qsim-style clustering.  Clusters are emitted in creation order;
   // a gate may join any cluster created at or after the newest cluster
   // touching one of its wires (everything in between is wire-disjoint from
@@ -518,14 +570,16 @@ ExecutionPlan compile_circuit(const Circuit& circuit,
   std::vector<Cluster> clusters;
   std::vector<std::ptrdiff_t> last_toucher(circuit.num_qubits(), -1);
 
-  for (const Gate& gate : circuit.gates()) {
+  for (std::size_t i = 0; i < circuit.gate_count(); ++i) {
+    if (cancelled[i]) continue;
+    const Gate& gate = circuit.gates()[i];
     const std::vector<std::size_t> support_g = gate_support(gate);
     const bool diagonal = gate.kind != GateKind::kOperator &&
                           is_diagonal_gate(gate) &&
-                          support_g.size() <= diagonal_width;
+                          support_g.size() <= kDiagonalWidth;
     const bool fusible =
         gate.kind != GateKind::kOperator &&
-        (diagonal || support_g.size() <= width);
+        (diagonal || support_g.size() <= kFuseWidth);
 
     std::ptrdiff_t earliest = 0;
     for (std::size_t q : support_g)
@@ -538,9 +592,8 @@ ExecutionPlan compile_circuit(const Circuit& circuit,
         const Cluster& cluster = clusters[ci];
         if (cluster.passthrough) continue;
         const std::size_t merged = union_size(cluster.support, support_g);
-        bool fits = cluster.diagonal
-                        ? (diagonal && merged <= diagonal_width)
-                        : (support_g.size() <= width && merged <= width);
+        bool fits = cluster.diagonal ? (diagonal && merged <= kDiagonalWidth)
+                                     : merged <= kFuseWidth;
         // Don't let an unprofitable union swallow gates that would pair
         // better elsewhere (an H-wall packed to width 4 would reject as one
         // big block; kept to pairs it fuses).  kGrowthSlack keeps room for

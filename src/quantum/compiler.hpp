@@ -6,19 +6,26 @@
 /// gate*: an H-wall on t precision qubits is t sweeps, a QFT another
 /// t(t+1)/2.  The compiler removes that tax once, ahead of execution:
 ///
+///  * **Inverse-pair cancellation**: before clustering, one linear pass
+///    drops adjacent gate pairs that undo each other exactly — the same
+///    self-inverse kind (H/X/Y/Z), or S/Sdg or T/Tdg, on identical targets
+///    and controls, with no kept gate between them on any of their wires.
+///    Per-wire stacks of kept gates let a cancellation expose the next pair
+///    (X H H X cancels completely).  The Trotter fragments' basis walls and
+///    CNOT ladders are where such pairs occur.
 ///  * **Gate fusion** (qsim style): adjacent gates whose combined support
-///    stays within `fuse_width` qubits are greedily merged — across
-///    commuting, wire-disjoint neighbours — into single dense-block gates,
-///    so dozens of sweeps collapse into one.  Controls are folded into the
-///    fused block (a controlled-U is just a bigger unitary).  A per-cluster
-///    cost model compares the fused block against the sweeps it replaces
-///    and falls back to the verbatim gates when fusing would lose.
+///    stays within 4 qubits are greedily merged — across commuting,
+///    wire-disjoint neighbours — into single dense-block gates, so dozens
+///    of sweeps collapse into one.  Controls are folded into the fused
+///    block (a controlled-U is just a bigger unitary).  A per-cluster cost
+///    model compares the fused block against the sweeps it replaces and
+///    falls back to the verbatim gates when fusing would lose.
 ///  * **Diagonal fusion**: runs of diagonal gates (Z/S/T/RZ/Phase and their
 ///    controlled forms — the controlled-phase rungs that dominate the QFT
 ///    and the QPE oracle ladder) merge into single diagonal ops over up to
-///    kMaxDiagonalWidth qubits.  A fused diagonal costs *one* multiply per
-///    amplitude regardless of how many gates it absorbed — the biggest
-///    single-sweep collapse in the QPE network.
+///    12 qubits.  A fused diagonal costs *one* multiply per amplitude
+///    regardless of how many gates it absorbed — the biggest single-sweep
+///    collapse in the QPE network.
 ///  * **Precompilation**: every op carries its masks, local-offset tables,
 ///    block-base enumeration and materialized matrices, so executing a plan
 ///    performs no per-gate validation, mask building, or matrix
@@ -36,9 +43,9 @@
 ///
 /// Compiling is the only way to run a Circuit: with fusion off every gate
 /// lowers to one op whose arithmetic is the engines' gate primitive
-/// (apply_gate) bit for bit.  Environment knobs (read by
-/// compiler_options_from_env): `QTDA_FUSE=0` disables fusion entirely, and
-/// `QTDA_FUSE_WIDTH` overrides the maximum fused support (default 4).
+/// (apply_gate) bit for bit, and nothing is cancelled.  The one
+/// environment knob (read by compiler_options_from_env) is `QTDA_FUSE=0`,
+/// which turns fusion and cancellation off.
 ///
 /// A plan is immutable and engine-agnostic; it may be executed many times
 /// (all QPE shots and all noise trajectories of an estimate reuse one
@@ -60,45 +67,30 @@ namespace qtda {
 
 /// Compilation knobs.
 struct CompilerOptions {
-  /// Master fusion switch; off, every source gate lowers to exactly one op
-  /// with its original targets/controls — bit-identical to applying the
-  /// gates one by one through the engines' apply_gate.
+  /// Master switch of cancellation and fusion; off, every source gate
+  /// lowers to exactly one op with its original targets/controls —
+  /// bit-identical to applying the gates one by one through the engines'
+  /// apply_gate.
   bool fuse = true;
-  /// Maximum qubit support of a fused dense block (clamped to [1, 8];
-  /// 2^k×2^k dense blocks).  Width 1 still merges runs of gates on one
-  /// wire.
-  std::size_t fuse_width = 4;
-  /// Maximum qubit support of a fused diagonal (clamped to
-  /// [1, kMaxDiagonalWidth]).  Every engine executes the diagonal table
-  /// natively.  The QTDA_FUSE_WIDTH override lowers this bound too, so
-  /// forcing width 1 really does approach the per-gate walk.
-  std::size_t diagonal_width = 12;
   /// Keep one op per source gate and record its noise slot (touched qubits,
   /// strength class) so noisy execution preserves the exact error placement
-  /// and RNG consumption order of the unfused walk.  Implies no cross-gate
-  /// fusion.
+  /// and RNG consumption order of the unfused walk.  Implies no
+  /// cancellation and no cross-gate fusion.
   bool preserve_noise_slots = false;
 };
 
-/// \p base overridden by the environment: QTDA_FUSE (0/1) and
-/// QTDA_FUSE_WIDTH (integer ≥ 1).  Malformed values fail fast naming the
-/// variable, mirroring the QTDA_SIMULATOR convention.
+/// \p base overridden by the environment: QTDA_FUSE (0/1).  A malformed
+/// value fails fast naming the variable, mirroring the QTDA_SIMULATOR
+/// convention.
 CompilerOptions compiler_options_from_env(CompilerOptions base = {});
 
-/// Canonical cache-key token of the options ("fuse=1,width=4,diag=12,
-/// noise=0"): two CompilerOptions produce interchangeable plans for the
-/// same circuit iff their tokens are equal.  This is the fuse-settings
-/// component of the serving layer's content-keyed plan cache — keying on
-/// the token (instead of a hash of it) keeps distinct settings structurally
-/// incapable of colliding.
+/// Canonical cache-key token of the options ("fuse=1,noise=0"): two
+/// CompilerOptions produce interchangeable plans for the same circuit iff
+/// their tokens are equal.  This is the fuse-settings component of the
+/// serving layer's content-keyed plan cache — keying on the token (instead
+/// of a hash of it) keeps distinct settings structurally incapable of
+/// colliding.
 std::string compiler_options_cache_key(const CompilerOptions& options);
-
-/// Hard ceiling of CompilerOptions::diagonal_width (4096-entry tables,
-/// 64 KB — cache-resident, and wide enough that a whole QPE
-/// controlled-phase ladder collapses into a handful of passes;
-/// register_layout.hpp's apply_diagonal_run dispatch must cover this
-/// width).
-inline constexpr std::size_t kMaxDiagonalWidth = 12;
 
 /// One executable unit of a plan.
 struct CompiledOp {
@@ -174,6 +166,7 @@ struct CompiledOp {
 struct CompilerStats {
   std::size_t gates_before = 0;
   std::size_t gates_after = 0;
+  std::size_t cancelled_pairs = 0;  ///< exact inverse pairs dropped
   std::size_t fused_blocks = 0;     ///< ops absorbing ≥ 2 source gates
   std::size_t diagonal_blocks = 0;  ///< the fused ops that are diagonal
   std::size_t operator_gates = 0;   ///< matrix-free passthrough ops
@@ -322,7 +315,7 @@ class ExecutionPlan {
 };
 
 /// Lowers \p circuit into an ExecutionPlan under explicit options (pass
-/// compiler_options_from_env() to honour the QTDA_FUSE* overrides, as the
+/// compiler_options_from_env() to honour the QTDA_FUSE override, as the
 /// estimator does).
 ExecutionPlan compile_circuit(const Circuit& circuit,
                               const CompilerOptions& options);

@@ -1,7 +1,6 @@
 /// \file scoped_env.hpp
 /// \brief Test-only RAII guard for the simulation environment overrides
-/// (QTDA_SIMULATOR / QTDA_FUSE / QTDA_FUSE_WIDTH / QTDA_PRECISION /
-/// QTDA_SIMD).
+/// (QTDA_SIMULATOR / QTDA_FUSE / QTDA_PRECISION / QTDA_SIMD).
 ///
 /// Tests that pin factory or compiler behavior must neutralize the
 /// overrides the CI legs set process-wide, and tests that exercise an
@@ -54,11 +53,10 @@ class ScopedSimulatorEnv {
   }
 
  private:
-  static constexpr const char* kClearedNames[] = {
-      "QTDA_SIMULATOR", "QTDA_FUSE", "QTDA_FUSE_WIDTH"};
+  static constexpr const char* kClearedNames[] = {"QTDA_SIMULATOR",
+                                                  "QTDA_FUSE"};
   static constexpr const char* kNames[] = {"QTDA_SIMULATOR", "QTDA_FUSE",
-                                           "QTDA_FUSE_WIDTH", "QTDA_PRECISION",
-                                           "QTDA_SIMD"};
+                                           "QTDA_PRECISION", "QTDA_SIMD"};
   std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
 };
 

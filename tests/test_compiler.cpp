@@ -1,13 +1,14 @@
 /// \file test_compiler.cpp
-/// \brief Circuit compiler tests: fusion equivalence across every simulator
-/// backend, the QTDA_FUSE=0 bit-identity guarantee against the engine's
-/// gate primitives, noise-slot preservation (error placement and RNG draw
-/// order of a gate-by-gate walk), compiler statistics, and the environment
-/// overrides.
+/// \brief Circuit compiler tests: inverse-pair cancellation and fusion
+/// equivalence across every simulator backend, the QTDA_FUSE=0
+/// bit-identity guarantee against the engine's gate primitives, noise-slot
+/// preservation (error placement and RNG draw order of a gate-by-gate
+/// walk), compiler statistics, and the environment override.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -42,8 +43,10 @@ ComplexMatrix random_unitary(std::size_t m, Rng& rng) {
 }
 
 /// A random circuit mixing every IR gate kind: named single-qubit gates and
-/// rotations, controlled gates, swaps, dense two-qubit unitaries, and
-/// matrix-free operator gates over non-trailing targets.
+/// rotations, controlled gates, swaps, dense two-qubit unitaries,
+/// matrix-free operator gates over non-trailing targets, and back-to-back
+/// inverse pairs (which fused compilation cancels; \p num_gates counts a
+/// pair once).
 Circuit random_circuit(std::size_t num_qubits, std::size_t num_gates,
                        Rng& rng) {
   Circuit circuit(num_qubits);
@@ -51,7 +54,7 @@ Circuit random_circuit(std::size_t num_qubits, std::size_t num_gates,
     const std::size_t q = rng.uniform_index(num_qubits);
     std::size_t p = rng.uniform_index(num_qubits);
     while (p == q) p = rng.uniform_index(num_qubits);
-    switch (rng.uniform_index(10)) {
+    switch (rng.uniform_index(11)) {
       case 0: circuit.h(q); break;
       case 1: circuit.x(q); break;
       case 2: circuit.t(q); break;
@@ -63,6 +66,15 @@ Circuit random_circuit(std::size_t num_qubits, std::size_t num_gates,
       case 8: {
         circuit.unitary(random_unitary(2, rng),
                         {std::min(p, q), std::max(p, q)});
+        break;
+      }
+      case 9: {
+        switch (rng.uniform_index(4)) {
+          case 0: circuit.h(q); circuit.h(q); break;
+          case 1: circuit.s(q); circuit.sdg(q); break;
+          case 2: circuit.tdg(q); circuit.t(q); break;
+          default: circuit.cnot(p, q); circuit.cnot(p, q); break;
+        }
         break;
       }
       default: {
@@ -102,10 +114,8 @@ TEST_P(FusionEquivalence, RandomCircuitsAgreeTo1e12) {
     Rng rng(seed);
     const Circuit circuit = random_circuit(kQubits, 24, rng);
 
-    CompilerOptions fused;
-    fused.fuse = true;
-    fused.fuse_width = 1 + seed % 4;  // widths 2..5 across seeds
-    const ExecutionPlan plan = compile_circuit(circuit, fused);
+    const ExecutionPlan plan = compile_circuit(circuit, CompilerOptions{});
+    EXPECT_GT(plan.stats().cancelled_pairs, 0u) << "seed " << seed;
 
     const auto reference = build_backend(kind, kQubits);
     reference->prepare_basis_state(1);
@@ -149,6 +159,7 @@ TEST(FusionEquivalence, UnfusedPlanIsBitIdentical) {
   const Circuit circuit = random_circuit(kQubits, 30, rng);
   const ExecutionPlan plan = unfused_plan(circuit);
   EXPECT_EQ(plan.ops().size(), circuit.gate_count());
+  EXPECT_EQ(plan.stats().cancelled_pairs, 0u);
 
   Statevector reference(kQubits);
   reference.set_basis_state(3);
@@ -180,6 +191,7 @@ TEST(Compiler, NoisePlanKeepsErrorPlacementAndRngOrder) {
   const ExecutionPlan plan = compile_circuit(circuit, options);
   EXPECT_TRUE(plan.preserves_noise_slots());
   EXPECT_EQ(plan.ops().size(), circuit.gate_count());
+  EXPECT_EQ(plan.stats().cancelled_pairs, 0u);
 
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng raw_rng(seed);
@@ -300,18 +312,18 @@ TEST(Compiler, SameWireChainFusesIntoOneSingleQubitOp) {
 }
 
 TEST(Compiler, FusionReachesAcrossWireDisjointGates) {
-  // H(0), Op(1,2), H(0): the trailing H commutes past the operator gate and
-  // merges with the leading one.
+  // H(0), Op(1,2), T(0): the trailing T commutes past the operator gate and
+  // merges with the leading H.
   Circuit circuit(3);
   circuit.h(0);
   Rng rng(3);
   circuit.operator_gate(std::make_shared<DenseOperator>(random_unitary(2, rng)),
                         {1, 2});
-  circuit.h(0);
+  circuit.t(0);
   const ExecutionPlan plan = compile_circuit(circuit, CompilerOptions{});
   ASSERT_EQ(plan.ops().size(), 2u);
   EXPECT_EQ(plan.stats().operator_gates, 1u);
-  // The merged H·H block comes first (cluster creation order).
+  // The merged T·H block comes first (cluster creation order).
   EXPECT_EQ(plan.ops()[0].fused_gates, 2u);
   EXPECT_EQ(plan.ops()[1].kind, CompiledOp::Kind::kOperator);
 }
@@ -330,22 +342,112 @@ TEST(Compiler, OperatorGatesPrecomputeLayout) {
   EXPECT_EQ(compiled.bases.size(), 2u);
 }
 
+TEST(Compiler, CancelsExactInversePairs) {
+  // The cancellation rule, case by case: which pairs go, which stay, and
+  // that the fused plan keeps the circuit's unitary and global phase.
+  struct Case {
+    const char* name;
+    std::size_t qubits;
+    std::function<void(Circuit&)> build;
+    std::size_t pairs;
+  };
+  const std::vector<Case> cases = {
+      {"H.H", 1, [](Circuit& c) { c.h(0); c.h(0); }, 1},
+      {"X.X", 1, [](Circuit& c) { c.x(0); c.x(0); }, 1},
+      {"CNOT.CNOT", 2, [](Circuit& c) { c.cnot(0, 1); c.cnot(0, 1); }, 1},
+      {"S.Sdg", 1, [](Circuit& c) { c.s(0); c.sdg(0); }, 1},
+      {"T.Tdg", 1, [](Circuit& c) { c.t(0); c.tdg(0); }, 1},
+      {"Tdg.T", 1, [](Circuit& c) { c.tdg(0); c.t(0); }, 1},
+      // A CNOT touching wire 0 between the Hadamards blocks them.
+      {"intervening gate", 2,
+       [](Circuit& c) { c.h(0); c.cnot(0, 1); c.h(0); }, 0},
+      // A gate on another wire does not.
+      {"independent wire", 2, [](Circuit& c) { c.h(0); c.x(1); c.h(0); }, 1},
+      // Same target, different control.
+      {"mismatched control", 3,
+       [](Circuit& c) { c.cnot(0, 1); c.cnot(2, 1); }, 0},
+      // X H H X: the inner pair exposes the outer one.
+      {"cascade", 1, [](Circuit& c) { c.x(0); c.h(0); c.h(0); c.x(0); }, 2},
+      {"global phase", 1,
+       [](Circuit& c) { c.add_global_phase(0.5); c.h(0); c.h(0); }, 1},
+      // Rotations are no inverse pair: fusion merges them into one op.
+      {"opposite rotations", 1,
+       [](Circuit& c) { c.rx(0, 1.1); c.rx(0, -1.1); }, 0},
+  };
+  for (const Case& test : cases) {
+    Circuit circuit(test.qubits);
+    test.build(circuit);
+    const ExecutionPlan fused = compile_circuit(circuit, CompilerOptions{});
+    EXPECT_EQ(fused.stats().cancelled_pairs, test.pairs) << test.name;
+    if (2 * test.pairs == circuit.gate_count()) {
+      EXPECT_TRUE(fused.ops().empty()) << test.name;
+    }
+    EXPECT_EQ(fused.global_phase(), circuit.global_phase()) << test.name;
+    const ExecutionPlan reference = unfused_plan(circuit);
+    for (std::uint64_t basis = 0; basis < (1u << test.qubits); ++basis) {
+      Statevector expected(test.qubits);
+      expected.set_basis_state(basis);
+      expected.apply_plan(reference);
+      Statevector actual(test.qubits);
+      actual.set_basis_state(basis);
+      actual.apply_plan(fused);
+      for (std::uint64_t i = 0; i < expected.dimension(); ++i)
+        EXPECT_NEAR(std::abs(expected.amplitude(i) - actual.amplitude(i)),
+                    0.0, 1e-12)
+            << test.name << " column " << basis << " row " << i;
+    }
+  }
+}
+
+TEST(Compiler, CancellationShrinksTrotterPlans) {
+  // The Trotter fragments' basis walls and CNOT ladders leave inverse pairs
+  // at family boundaries.  Each pin equals the op count of cancelling the
+  // same pairs to a fixpoint in a separate pass and then compiling.
+  struct Case {
+    const char* name;
+    SparseMatrix laplacian;
+    TrotterOptions trotter;
+    std::size_t gates, ops;
+  };
+  const SparseMatrix worked = sparse_combinatorial_laplacian(
+      SimplicialComplex::from_simplices(
+          {Simplex{1, 2, 3}, Simplex{3, 4}, Simplex{3, 5}, Simplex{4, 5}},
+          true),
+      1);
+  Rng rng(2);
+  RandomComplexOptions flag;
+  flag.num_vertices = 9;
+  flag.edge_probability = 0.5;
+  const SimplicialComplex complex = random_flag_complex(flag, rng);
+  ASSERT_EQ(complex.count(1), 19u);
+  // Without cancellation the three plans had 866, 3,403 and 11,930 ops.
+  const std::vector<Case> cases = {
+      {"worked example, order 1, 1 step", worked, {1, 1}, 868, 838},
+      {"worked example, order 2, 2 steps", worked, {2, 2}, 3409, 3263},
+      {"9-vertex flag complex, order 1, 1 step",
+       sparse_combinatorial_laplacian(complex, 1), {1, 1}, 11932, 9718},
+  };
+  EstimatorOptions options;
+  options.backend = EstimatorBackend::kCircuitTrotter;
+  options.precision_qubits = 3;
+  options.delta = 6.0;
+  for (const Case& test : cases) {
+    options.trotter = test.trotter;
+    const Circuit circuit = build_qtda_circuit(test.laplacian, options);
+    const CompilerStats stats =
+        compile_circuit(circuit, CompilerOptions{}).stats();
+    EXPECT_EQ(stats.gates_before, test.gates) << test.name;
+    EXPECT_EQ(stats.gates_after, test.ops) << test.name;
+  }
+}
+
 TEST(Compiler, EnvOverridesParseAndValidate) {
   qtda::testing::ScopedSimulatorEnv guard;
   setenv("QTDA_FUSE", "0", 1);
-  unsetenv("QTDA_FUSE_WIDTH");
   EXPECT_FALSE(compiler_options_from_env().fuse);
   setenv("QTDA_FUSE", "1", 1);
-  setenv("QTDA_FUSE_WIDTH", "6", 1);
-  CompilerOptions options = compiler_options_from_env();
-  EXPECT_TRUE(options.fuse);
-  EXPECT_EQ(options.fuse_width, 6u);
-  // The width override bounds the diagonal tables too.
-  EXPECT_EQ(options.diagonal_width, 6u);
+  EXPECT_TRUE(compiler_options_from_env().fuse);
   setenv("QTDA_FUSE", "yes", 1);
-  EXPECT_THROW(compiler_options_from_env(), Error);
-  setenv("QTDA_FUSE", "1", 1);
-  setenv("QTDA_FUSE_WIDTH", "0", 1);
   EXPECT_THROW(compiler_options_from_env(), Error);
 }
 
@@ -369,7 +471,6 @@ TEST(Compiler, EstimatorFusedMatchesUnfused) {
 
   qtda::testing::ScopedSimulatorEnv guard;
   unsetenv("QTDA_FUSE");
-  unsetenv("QTDA_FUSE_WIDTH");
   const auto fused = estimate_betti(complex, 1, options);
   setenv("QTDA_FUSE", "0", 1);
   const auto unfused = estimate_betti(complex, 1, options);

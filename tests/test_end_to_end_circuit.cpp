@@ -1,7 +1,7 @@
 // Circuit-level end-to-end checks on the actual QTDA workload: the
-// optimizer must preserve the QPE outcome distribution of the paper's
-// Trotterized circuit, and the density-matrix simulator must agree with the
-// state-vector simulator on it.
+// compiler's inverse-pair cancellation must preserve the QPE outcome
+// distribution of the paper's Trotterized circuit, and the density-matrix
+// simulator must agree with the state-vector simulator on it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,7 @@
 #include "core/betti_estimator.hpp"
 #include "quantum/density_matrix.hpp"
 #include "quantum/executor.hpp"
-#include "quantum/optimizer.hpp"
+#include "quantum/compiler.hpp"
 #include "quantum/qpe.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/simplicial_complex.hpp"
@@ -35,20 +35,21 @@ EstimatorOptions trotter_options() {
   return options;
 }
 
-TEST(EndToEndCircuit, OptimizerPreservesQpeDistribution) {
+TEST(EndToEndCircuit, CancellationPreservesQpeDistribution) {
   const auto laplacian = hollow_triangle_laplacian();
   const auto options = trotter_options();
   const Circuit circuit = build_qtda_circuit(laplacian, options);
 
-  OptimizerReport report;
-  const Circuit optimized = optimize_circuit(circuit, &report);
-  EXPECT_LT(report.gates_after, report.gates_before);
-  EXPECT_LE(report.depth_after, report.depth_before);
+  const ExecutionPlan plan = compile_circuit(circuit, CompilerOptions{});
+  EXPECT_GT(plan.stats().cancelled_pairs, 0u);
+  EXPECT_LT(plan.stats().gates_after, plan.stats().gates_before);
 
   QpeLayout layout{options.precision_qubits, 2, 2};
   const auto wires = layout.precision_wires();
   const auto before = run_circuit(circuit).marginal_probabilities(wires);
-  const auto after = run_circuit(optimized).marginal_probabilities(wires);
+  Statevector compiled(circuit.num_qubits());
+  compiled.apply_plan(plan);
+  const auto after = compiled.marginal_probabilities(wires);
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t m = 0; m < before.size(); ++m)
     EXPECT_NEAR(before[m], after[m], 1e-10) << "outcome " << m;

@@ -9,9 +9,12 @@
 /// dense-input estimate) still ran their own dense pad/rescale/execute path,
 /// before all four backends were routed through compile_betti_estimate and
 /// estimate_betti_with_plan; a pass shows the one CSR spine reproduces those
-/// bytes.  The Trotter backend is left out on purpose: dense-input Trotter now
-/// decomposes through the CSR Pauli decomposition, whose coefficients may
-/// differ from the dense overload's in the last bits.
+/// bytes.  The Trotter pins came later, from the tree in which dense input
+/// already decomposed through the CSR Pauli decomposition but the compiler
+/// did not yet cancel inverse gate pairs: the circuit's gates and depth are
+/// hashed before compilation, and 300 shots cannot resolve the last-bit
+/// change a cancelled pair makes to the probabilities, so a pass shows the
+/// cancellation leaves the estimates alone.
 ///
 /// Equal pins are expected: the dense, CSR and complex entry points run the
 /// same cases, and the exact and sparse oracles agree far below what 300
@@ -123,13 +126,19 @@ std::vector<PersistentCase> persistent_cases() {
 /// "<entry point>/<backend>/<mixed-state mode>" → fingerprint over every
 /// case, in case order, each case with its own seed.
 std::map<std::string, std::uint64_t> spine_fingerprints() {
-  const std::vector<SpineCase> cases = spine_cases();
+  const std::vector<SpineCase> all_cases = spine_cases();
+  // The Trotter backend runs the cases with |S_k| ≤ 16: its gate count
+  // grows with the Pauli terms of the padded 2^q × 2^q Hamiltonian.
+  std::vector<SpineCase> trotter_cases;
+  for (const SpineCase& c : all_cases)
+    if (c.complex.count(c.k) <= 16) trotter_cases.push_back(c);
   const std::vector<PersistentCase> pairs = persistent_cases();
+  const std::vector<SpineCase>* cases = &all_cases;
   using Entry = std::function<void(const EstimatorOptions&, std::uint64_t&)>;
   const std::vector<std::pair<std::string, Entry>> entries = {
       {"dense",
        [&](EstimatorOptions options, std::uint64_t& hash) {
-         for (const SpineCase& c : cases) {
+         for (const SpineCase& c : *cases) {
            ++options.seed;
            hash_estimate(estimate_betti_from_laplacian(
                              combinatorial_laplacian(c.complex, c.k), options),
@@ -138,7 +147,7 @@ std::map<std::string, std::uint64_t> spine_fingerprints() {
        }},
       {"csr",
        [&](EstimatorOptions options, std::uint64_t& hash) {
-         for (const SpineCase& c : cases) {
+         for (const SpineCase& c : *cases) {
            ++options.seed;
            hash_estimate(
                estimate_betti_from_sparse_laplacian(
@@ -148,7 +157,7 @@ std::map<std::string, std::uint64_t> spine_fingerprints() {
        }},
       {"complex",
        [&](EstimatorOptions options, std::uint64_t& hash) {
-         for (const SpineCase& c : cases) {
+         for (const SpineCase& c : *cases) {
            ++options.seed;
            hash_estimate(estimate_betti(c.complex, c.k, options), hash);
          }
@@ -166,7 +175,9 @@ std::map<std::string, std::uint64_t> spine_fingerprints() {
   std::map<std::string, std::uint64_t> fingerprints;
   for (EstimatorBackend backend :
        {EstimatorBackend::kAnalytic, EstimatorBackend::kCircuitExact,
-        EstimatorBackend::kCircuitSparse}) {
+        EstimatorBackend::kCircuitSparse, EstimatorBackend::kCircuitTrotter}) {
+    const bool trotter = backend == EstimatorBackend::kCircuitTrotter;
+    cases = trotter ? &trotter_cases : &all_cases;
     for (MixedStateMode mode :
          {MixedStateMode::kPurification, MixedStateMode::kSampledBasis}) {
       EstimatorOptions options;
@@ -176,6 +187,7 @@ std::map<std::string, std::uint64_t> spine_fingerprints() {
       options.shots = 300;
       options.seed = 90;
       for (const auto& [entry, run] : entries) {
+        if (trotter && entry == "persistent") continue;
         std::uint64_t hash = 1469598103934665603ULL;
         run(options, hash);
         fingerprints[entry + "/" + estimator_backend_name(backend) + "/" +
@@ -208,6 +220,12 @@ const std::map<std::string, std::uint64_t>& pinned_fingerprints() {
       {"dense/exact/sampled", 0x12fe8fa1044b8f50ULL},
       {"dense/sparse/purify", 0xf6685b2dd7564483ULL},
       {"dense/sparse/sampled", 0x12fe8fa1044b8f50ULL},
+      {"complex/trotter/purify", 0x5d2a84ab3cef8f7fULL},
+      {"complex/trotter/sampled", 0x4df09c905edb0d56ULL},
+      {"csr/trotter/purify", 0x5d2a84ab3cef8f7fULL},
+      {"csr/trotter/sampled", 0x4df09c905edb0d56ULL},
+      {"dense/trotter/purify", 0x5d2a84ab3cef8f7fULL},
+      {"dense/trotter/sampled", 0x4df09c905edb0d56ULL},
       {"persistent/analytic/purify", 0x82ba466f557ab60dULL},
       {"persistent/analytic/sampled", 0x198f0eec5854dadbULL},
       {"persistent/exact/purify", 0xd97750b9c99d4be1ULL},

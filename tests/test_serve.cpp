@@ -224,12 +224,6 @@ TEST(ServePlanKey, FusionEnvironmentIsAKeyAxis) {
   setenv("QTDA_FUSE", "0", 1);
   const std::string unfused = ArtifactStore::plan_key(1, 1, options);
   EXPECT_NE(fused, unfused);
-
-  setenv("QTDA_FUSE", "1", 1);
-  setenv("QTDA_FUSE_WIDTH", "2", 1);
-  const std::string narrow = ArtifactStore::plan_key(1, 1, options);
-  EXPECT_NE(fused, narrow);
-  EXPECT_NE(unfused, narrow);
 }
 
 // ------------------------------------------------------------- artifact store
