@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -340,63 +339,6 @@ TEST(Compiler, OperatorGatesPrecomputeLayout) {
   EXPECT_TRUE(compiled.contiguous);
   // Control bit fixed to 1, one free qubit → 2 block bases.
   EXPECT_EQ(compiled.bases.size(), 2u);
-}
-
-TEST(Compiler, CancelsExactInversePairs) {
-  // The cancellation rule, case by case: which pairs go, which stay, and
-  // that the fused plan keeps the circuit's unitary and global phase.
-  struct Case {
-    const char* name;
-    std::size_t qubits;
-    std::function<void(Circuit&)> build;
-    std::size_t pairs;
-  };
-  const std::vector<Case> cases = {
-      {"H.H", 1, [](Circuit& c) { c.h(0); c.h(0); }, 1},
-      {"X.X", 1, [](Circuit& c) { c.x(0); c.x(0); }, 1},
-      {"CNOT.CNOT", 2, [](Circuit& c) { c.cnot(0, 1); c.cnot(0, 1); }, 1},
-      {"S.Sdg", 1, [](Circuit& c) { c.s(0); c.sdg(0); }, 1},
-      {"T.Tdg", 1, [](Circuit& c) { c.t(0); c.tdg(0); }, 1},
-      {"Tdg.T", 1, [](Circuit& c) { c.tdg(0); c.t(0); }, 1},
-      // A CNOT touching wire 0 between the Hadamards blocks them.
-      {"intervening gate", 2,
-       [](Circuit& c) { c.h(0); c.cnot(0, 1); c.h(0); }, 0},
-      // A gate on another wire does not.
-      {"independent wire", 2, [](Circuit& c) { c.h(0); c.x(1); c.h(0); }, 1},
-      // Same target, different control.
-      {"mismatched control", 3,
-       [](Circuit& c) { c.cnot(0, 1); c.cnot(2, 1); }, 0},
-      // X H H X: the inner pair exposes the outer one.
-      {"cascade", 1, [](Circuit& c) { c.x(0); c.h(0); c.h(0); c.x(0); }, 2},
-      {"global phase", 1,
-       [](Circuit& c) { c.add_global_phase(0.5); c.h(0); c.h(0); }, 1},
-      // Rotations are no inverse pair: fusion merges them into one op.
-      {"opposite rotations", 1,
-       [](Circuit& c) { c.rx(0, 1.1); c.rx(0, -1.1); }, 0},
-  };
-  for (const Case& test : cases) {
-    Circuit circuit(test.qubits);
-    test.build(circuit);
-    const ExecutionPlan fused = compile_circuit(circuit, CompilerOptions{});
-    EXPECT_EQ(fused.stats().cancelled_pairs, test.pairs) << test.name;
-    if (2 * test.pairs == circuit.gate_count()) {
-      EXPECT_TRUE(fused.ops().empty()) << test.name;
-    }
-    EXPECT_EQ(fused.global_phase(), circuit.global_phase()) << test.name;
-    const ExecutionPlan reference = unfused_plan(circuit);
-    for (std::uint64_t basis = 0; basis < (1u << test.qubits); ++basis) {
-      Statevector expected(test.qubits);
-      expected.set_basis_state(basis);
-      expected.apply_plan(reference);
-      Statevector actual(test.qubits);
-      actual.set_basis_state(basis);
-      actual.apply_plan(fused);
-      for (std::uint64_t i = 0; i < expected.dimension(); ++i)
-        EXPECT_NEAR(std::abs(expected.amplitude(i) - actual.amplitude(i)),
-                    0.0, 1e-12)
-            << test.name << " column " << basis << " row " << i;
-    }
-  }
 }
 
 TEST(Compiler, CancellationShrinksTrotterPlans) {

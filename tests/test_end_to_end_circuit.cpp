@@ -35,7 +35,7 @@ EstimatorOptions trotter_options() {
   return options;
 }
 
-TEST(EndToEndCircuit, CancellationPreservesQpeDistribution) {
+TEST(EndToEndCircuit, OptimizerPreservesQpeDistribution) {
   const auto laplacian = hollow_triangle_laplacian();
   const auto options = trotter_options();
   const Circuit circuit = build_qtda_circuit(laplacian, options);

@@ -1,33 +1,60 @@
-// Tests for quantum/optimizer.hpp.
-#include "quantum/optimizer.hpp"
-
+// Tests for the fused compiler's circuit rewrites: exact inverse pairs
+// cancel (cascading, never across a gate on a shared wire, never between
+// gates on different controls) and adjacent same-wire rotations merge into
+// one op.  Every compiled plan is checked against the gate-by-gate plan.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "circuit_plans.hpp"
 #include "common/random.hpp"
+#include "quantum/compiler.hpp"
 #include "quantum/executor.hpp"
 #include "quantum/types.hpp"
 
 namespace qtda {
 namespace {
 
+using testing::unfused_plan;
+
+/// Compiles \p circuit with fusion on and checks that the plan keeps the
+/// circuit's global phase and every column of its unitary to 1e-12.
+ExecutionPlan compile_checked(const Circuit& circuit) {
+  const ExecutionPlan fused = compile_circuit(circuit, CompilerOptions{});
+  EXPECT_EQ(fused.global_phase(), circuit.global_phase());
+  const ExecutionPlan reference = unfused_plan(circuit);
+  const std::size_t n = circuit.num_qubits();
+  for (std::uint64_t basis = 0; basis < (std::uint64_t{1} << n); ++basis) {
+    Statevector expected(n);
+    expected.set_basis_state(basis);
+    expected.apply_plan(reference);
+    Statevector actual(n);
+    actual.set_basis_state(basis);
+    actual.apply_plan(fused);
+    for (std::uint64_t i = 0; i < expected.dimension(); ++i)
+      EXPECT_NEAR(std::abs(expected.amplitude(i) - actual.amplitude(i)), 0.0,
+                  1e-12)
+          << "column " << basis << " row " << i;
+  }
+  return fused;
+}
+
 TEST(Optimizer, CancelsAdjacentHadamards) {
   Circuit c(1);
   c.h(0);
   c.h(0);
-  OptimizerReport report;
-  const Circuit out = optimize_circuit(c, &report);
-  EXPECT_EQ(out.gate_count(), 0u);
-  EXPECT_EQ(report.cancelled_pairs, 1u);
+  const ExecutionPlan plan = compile_checked(c);
+  EXPECT_TRUE(plan.ops().empty());
+  EXPECT_EQ(plan.stats().cancelled_pairs, 1u);
 }
 
 TEST(Optimizer, CancelsAdjacentCnots) {
   Circuit c(2);
   c.cnot(0, 1);
   c.cnot(0, 1);
-  const Circuit out = optimize_circuit(c);
-  EXPECT_EQ(out.gate_count(), 0u);
+  const ExecutionPlan plan = compile_checked(c);
+  EXPECT_TRUE(plan.ops().empty());
+  EXPECT_EQ(plan.stats().cancelled_pairs, 1u);
 }
 
 TEST(Optimizer, DoesNotCancelAcrossInterveningGate) {
@@ -35,8 +62,7 @@ TEST(Optimizer, DoesNotCancelAcrossInterveningGate) {
   c.h(0);
   c.cnot(0, 1);  // touches qubit 0 between the Hadamards
   c.h(0);
-  const Circuit out = optimize_circuit(c);
-  EXPECT_EQ(out.gate_count(), 3u);
+  EXPECT_EQ(compile_checked(c).stats().cancelled_pairs, 0u);
 }
 
 TEST(Optimizer, CancelsThroughIndependentWires) {
@@ -45,80 +71,84 @@ TEST(Optimizer, CancelsThroughIndependentWires) {
   c.h(0);
   c.x(1);
   c.h(0);
-  const Circuit out = optimize_circuit(c);
-  EXPECT_EQ(out.gate_count(), 1u);
-  EXPECT_EQ(out.gates()[0].kind, GateKind::kX);
+  const ExecutionPlan plan = compile_checked(c);
+  EXPECT_EQ(plan.stats().cancelled_pairs, 1u);
+  EXPECT_EQ(plan.ops().size(), 1u);  // the X
 }
 
 TEST(Optimizer, MergesRotations) {
+  // Rotations are no inverse pair: fusion merges adjacent ones on a wire
+  // into one op, opposite angles included.
   Circuit c(1);
   c.rz(0, 0.3);
   c.rz(0, 0.5);
-  OptimizerReport report;
-  const Circuit out = optimize_circuit(c, &report);
-  ASSERT_EQ(out.gate_count(), 1u);
-  EXPECT_NEAR(out.gates()[0].parameter, 0.8, 1e-15);
-  EXPECT_EQ(report.merged_rotations, 1u);
-}
+  const ExecutionPlan plan = compile_checked(c);
+  EXPECT_EQ(plan.ops().size(), 1u);
+  EXPECT_EQ(plan.stats().cancelled_pairs, 0u);
+  Circuit merged(1);
+  merged.rz(0, 0.8);
+  Statevector expected(1);
+  expected.set_basis_state(1);
+  expected.apply_plan(unfused_plan(merged));
+  Statevector actual(1);
+  actual.set_basis_state(1);
+  actual.apply_plan(plan);
+  for (std::uint64_t i = 0; i < 2; ++i)
+    EXPECT_NEAR(std::abs(expected.amplitude(i) - actual.amplitude(i)), 0.0,
+                1e-12);
 
-TEST(Optimizer, MergedRotationsCancelToNothing) {
-  Circuit c(1);
-  c.rx(0, 1.1);
-  c.rx(0, -1.1);
-  const Circuit out = optimize_circuit(c);
-  EXPECT_EQ(out.gate_count(), 0u);
-}
-
-TEST(Optimizer, DropsZeroRotations) {
-  Circuit c(2);
-  c.rz(0, 0.0);
-  c.rx(1, 4.0 * kPi);  // full period
-  OptimizerReport report;
-  const Circuit out = optimize_circuit(c, &report);
-  EXPECT_EQ(out.gate_count(), 0u);
-  EXPECT_EQ(report.dropped_rotations, 2u);
+  Circuit opposite(1);
+  opposite.rx(0, 1.1);
+  opposite.rx(0, -1.1);
+  const ExecutionPlan identity = compile_checked(opposite);
+  EXPECT_EQ(identity.ops().size(), 1u);
+  EXPECT_EQ(identity.stats().cancelled_pairs, 0u);
 }
 
 TEST(Optimizer, SAndSdgCancel) {
   Circuit c(1);
   c.s(0);
   c.sdg(0);
-  EXPECT_EQ(optimize_circuit(c).gate_count(), 0u);
+  const ExecutionPlan plan = compile_checked(c);
+  EXPECT_TRUE(plan.ops().empty());
+  EXPECT_EQ(plan.stats().cancelled_pairs, 1u);
+}
+
+TEST(Optimizer, TAndTdgCancelInEitherOrder) {
+  Circuit c(1);
+  c.t(0);
+  c.tdg(0);
+  c.tdg(0);
+  c.t(0);
+  const ExecutionPlan plan = compile_checked(c);
+  EXPECT_TRUE(plan.ops().empty());
+  EXPECT_EQ(plan.stats().cancelled_pairs, 2u);
 }
 
 TEST(Optimizer, ControlledGatesNeedMatchingWires) {
   Circuit c(3);
   c.cnot(0, 1);
   c.cnot(2, 1);  // same target, different control: must not cancel
-  EXPECT_EQ(optimize_circuit(c).gate_count(), 2u);
+  EXPECT_EQ(compile_checked(c).stats().cancelled_pairs, 0u);
 }
 
 TEST(Optimizer, FixpointCascades) {
-  // X H H X → X X (after inner pair cancels) → nothing.
+  // X H H X: the inner pair exposes the outer one, in the same pass.
   Circuit c(1);
   c.x(0);
   c.h(0);
   c.h(0);
   c.x(0);
-  EXPECT_EQ(optimize_circuit(c).gate_count(), 0u);
-}
-
-TEST(Optimizer, ReportsDepthReduction) {
-  Circuit c(1);
-  for (int i = 0; i < 10; ++i) c.rz(0, 0.1);
-  OptimizerReport report;
-  const Circuit out = optimize_circuit(c, &report);
-  EXPECT_EQ(report.gates_before, 10u);
-  EXPECT_EQ(report.gates_after, 1u);
-  EXPECT_EQ(report.depth_before, 10u);
-  EXPECT_EQ(report.depth_after, 1u);
-  EXPECT_NEAR(out.gates()[0].parameter, 1.0, 1e-12);
+  const ExecutionPlan plan = compile_checked(c);
+  EXPECT_TRUE(plan.ops().empty());
+  EXPECT_EQ(plan.stats().cancelled_pairs, 2u);
 }
 
 class OptimizerSemantics : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OptimizerSemantics, PreservesCircuitAction) {
-  // Random circuits: optimized and original produce identical states.
+  // Random circuits: the fused plan and the original produce identical
+  // states.
   Rng rng(GetParam() * 31 + 7);
   const std::size_t n = 3;
   Circuit c(n);
@@ -138,10 +168,11 @@ TEST_P(OptimizerSemantics, PreservesCircuitAction) {
       }
     }
   }
-  const Circuit optimized = optimize_circuit(c);
-  EXPECT_LE(optimized.gate_count(), c.gate_count());
+  const ExecutionPlan plan = compile_circuit(c, CompilerOptions{});
+  EXPECT_LE(plan.stats().gates_after, plan.stats().gates_before);
   const auto before = run_circuit(c);
-  const auto after = run_circuit(optimized);
+  Statevector after(n);
+  after.apply_plan(plan);
   for (std::uint64_t i = 0; i < before.dimension(); ++i) {
     EXPECT_NEAR(std::abs(before.amplitude(i) - after.amplitude(i)), 0.0,
                 1e-10)
@@ -157,8 +188,9 @@ TEST(Optimizer, PreservesGlobalPhase) {
   c.add_global_phase(0.5);
   c.h(0);
   c.h(0);
-  const Circuit out = optimize_circuit(c);
-  EXPECT_DOUBLE_EQ(out.global_phase(), 0.5);
+  const ExecutionPlan plan = compile_checked(c);
+  EXPECT_TRUE(plan.ops().empty());
+  EXPECT_DOUBLE_EQ(plan.global_phase(), 0.5);
 }
 
 }  // namespace
