@@ -4,13 +4,15 @@
 /// BM_GateSweepDense/q runs one QPE-shaped gate sweep (an unfused plan)
 /// through the statevector backend and BM_OperatorOracleDense/q one
 /// controlled Chebyshev oracle on a random state: the reference marks for
-/// parallelizing the engine's gate kernels.  BM_PurificationPrep/n runs the estimator's purification prep
-/// and precision Hadamards as a compiled plan at the perfbench register
-/// sizes, the single-qubit layer of every purified estimate.  The operator
-/// kernel applies its oracle once per distinct block; the two ends of that
-/// are BM_OperatorOracleDistinct/q (a random state: every block distinct,
-/// all hashed, none skipped) and BM_PurifiedQpeOracle/n (the purified t = 3
-/// ladder, where 5 of 12 blocks repeat).
+/// parallelizing the engine's gate kernels.  BM_PurificationPrep/n runs the
+/// estimator's purification prep and precision Hadamards as a compiled plan
+/// at the perfbench register sizes, swept over the whole register, and
+/// BM_PurificationPrepFromBasis/n runs it the estimator's way, folded onto
+/// the support of |0…0⟩.  The operator kernel applies its oracle once per
+/// distinct block; the two ends of that are BM_OperatorOracleDistinct/q (a
+/// random state: every block distinct, all hashed, none skipped) and
+/// BM_PurifiedQpeOracle/n (the purified t = 3 ladder, where 5 of 12 blocks
+/// repeat).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -167,8 +169,7 @@ BENCHMARK(BM_PurifiedQpeOracle)->DenseRange(15, 17, 2)->UseRealTime();
 /// The purified estimator's register, t + q system + q ancilla wires at
 /// t = 3: H and CNOT onto its system partner for each ancilla (controls on
 /// bits 0 to q − 1), then H on the three precision wires.
-void BM_PurificationPrep(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
+ExecutionPlan purification_prep_plan(std::size_t n) {
   constexpr std::size_t kPrecision = 3;
   const std::size_t q = (n - kPrecision) / 2;
   Circuit circuit(n);
@@ -179,7 +180,15 @@ void BM_PurificationPrep(benchmark::State& state) {
   }
   append_mixed_state_preparation(circuit, ancillas, systems);
   for (std::size_t w = 0; w < kPrecision; ++w) circuit.h(w);
-  const ExecutionPlan plan = compile_circuit(circuit, CompilerOptions{});
+  return compile_circuit(circuit, CompilerOptions{});
+}
+
+/// The swept reference: the prep plan re-applied to the evolving state.
+/// Only a basis state folds, so after the first iteration every op sweeps
+/// the whole register.
+void BM_PurificationPrep(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const ExecutionPlan plan = purification_prep_plan(n);
   Statevector sv(n);
   for (auto _ : state) {
     sv.apply_plan(plan);
@@ -190,6 +199,23 @@ void BM_PurificationPrep(benchmark::State& state) {
                           static_cast<std::int64_t>(1ULL << n));
 }
 BENCHMARK(BM_PurificationPrep)->DenseRange(15, 19, 2);
+
+/// The estimator's sequence: set_basis_state(0), then the prep plan, which
+/// folds onto the support of |0…0⟩ (2^(3+q) of the 2^n amplitudes).  The
+/// reset refills the register, since the previous iteration's plan left
+/// the state unmarked.
+void BM_PurificationPrepFromBasis(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const ExecutionPlan plan = purification_prep_plan(n);
+  Statevector sv(n);
+  for (auto _ : state) {
+    sv.set_basis_state(0);
+    sv.apply_plan(plan);
+    benchmark::DoNotOptimize(sv.amplitudes().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PurificationPrepFromBasis)->DenseRange(15, 19, 2);
 
 void BM_HadamardGate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -472,7 +472,10 @@ std::size_t ExecutionPlan::memory_bytes() const {
             scratch_.packed_in_f32.capacity() +
             scratch_.packed_out_f32.capacity()) *
            sizeof(std::complex<float>);
-  bytes += scratch_.block_hashes.capacity() * sizeof(std::uint64_t) +
+  bytes += (scratch_.block_hashes.capacity() +
+            scratch_.fold_support.capacity() +
+            scratch_.fold_members.capacity()) *
+               sizeof(std::uint64_t) +
            (scratch_.hash_slots.capacity() +
             scratch_.block_source.capacity()) *
                sizeof(std::uint32_t);

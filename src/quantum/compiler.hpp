@@ -193,6 +193,11 @@ struct ExecutionScratch {
   std::vector<std::uint64_t> block_hashes;
   std::vector<std::uint32_t> hash_slots;
   std::vector<std::uint32_t> block_source;
+  /// The basis-state fold of a statevector's apply_plan (both precisions):
+  /// the indices of the amplitudes it may have made nonzero, and a
+  /// membership bitmap over the register, one bit per amplitude.
+  std::vector<std::uint64_t> fold_support;
+  std::vector<std::uint64_t> fold_members;
   // complex64 mirrors used by the float-precision executors (the plan does
   // not know the precision of the engine that will run it).
   std::vector<std::complex<float>> block_f32;

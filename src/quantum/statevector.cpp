@@ -146,12 +146,103 @@ std::size_t find_or_add_block(ExecutionScratch& s, const unsigned char* blocks,
   }
 }
 
+/// The basis-state fold stops before an op that could grow the support
+/// past dimension / kFoldSupportDivisor amplitudes.  An op at most doubles
+/// the support list (a CNOT's list doubles before the entries it emptied
+/// are dropped), so an op folds while twice the support fits under that
+/// cap.  The crossover, measured on a 4-vCPU AVX-512 Xeon (float64, medians
+/// of 5–9 repetitions, the divisor varied in a scratch build): an H wall on
+/// every wire of 10–16 qubits ran as fast with divisor 8 as with 16, so an
+/// op that takes the support from 1/16 to 1/8 of the register costs the
+/// same folded as swept; one that takes it to 1/4 cost 15–25% more folded,
+/// and folding to 1/2 doubled the wall's time.  From 17 qubits on, where
+/// the support outgrows the cache, divisor 32 beat 16 by 5–30%.
+/// BM_PurificationPrepFromBasis at n = 5–9 (t = 3, the support ending at
+/// 1/2 to 1/8 of the register) read every divisor from 1 to 16 within
+/// noise of each other and 1.1–3.9× faster than the sweep.  The
+/// estimator's prefixes end at 2^−q of the register, so only q ≤ 3 meets
+/// the cap.
+constexpr std::uint64_t kFoldSupportDivisor = 16;
+
+/// True when \p a is +0 + 0i, sign bits included: the only amplitude the
+/// fold may leave outside its support.
+template <typename C>
+bool is_positive_zero(const C& a) {
+  return a.real() == 0 && a.imag() == 0 && !std::signbit(a.real()) &&
+         !std::signbit(a.imag());
+}
+
+bool has_member(const std::vector<std::uint64_t>& members, std::uint64_t i) {
+  return (members[i >> 6] >> (i & 63)) & 1;
+}
+
+/// Starts the fold of the basis state |basis⟩ on a register of \p dim
+/// amplitudes: the support is basis alone.
+void begin_fold(ExecutionScratch& s, std::uint64_t dim, std::uint64_t basis) {
+  s.fold_support.assign(1, basis);
+  s.fold_members.assign(static_cast<std::size_t>((dim + 63) / 64), 0);
+  s.fold_members[basis >> 6] |= std::uint64_t{1} << (basis & 63);
+}
+
+/// Applies the single-qubit op \p op to the pairs of amp[0..dim) that meet
+/// the support in \p s, with the scalar pair update (which every sweep
+/// level matches bit for bit), then drops the entries it left at +0.
+/// Outside the support every amplitude is +0, and a pair of them is left
+/// alone here; the sweep would give such a pair the op's update of (+0, +0),
+/// so the op folds only when that update is +0 too.  Returns false, having
+/// touched nothing, when the op does not fold.
+template <typename C>
+bool fold_op(C* amp, std::uint64_t dim, const CompiledOp& op,
+             ExecutionScratch& s) {
+  if (op.kind != CompiledOp::Kind::kSingleQubit) return false;
+  std::vector<std::uint64_t>& support = s.fold_support;
+  if (2 * support.size() > dim / kFoldSupportDivisor) return false;
+  const C u[4] = {static_cast<C>(op.u00), static_cast<C>(op.u01),
+                  static_cast<C>(op.u10), static_cast<C>(op.u11)};
+  C zero_pair[2] = {};
+  simd::pair_sweep(SimdLevel::kScalar, zero_pair, zero_pair + 1, 1, u);
+  if (!is_positive_zero(zero_pair[0]) || !is_positive_zero(zero_pair[1]))
+    return false;
+
+  const std::uint64_t mask = op.tmask;
+  const std::uint64_t cmask = op.cmask;
+  std::vector<std::uint64_t>& members = s.fold_members;
+  const std::size_t size = support.size();
+  for (std::size_t k = 0; k < size; ++k) {
+    const std::uint64_t i = support[k];
+    if ((i & cmask) != cmask) continue;
+    const std::uint64_t partner = i ^ mask;
+    const bool partner_member = has_member(members, partner);
+    // A pair with both members in the support runs once, from its lower
+    // member.
+    if (partner_member && (i & mask) != 0) continue;
+    const std::uint64_t low = i & ~mask;
+    simd::pair_sweep(SimdLevel::kScalar, amp + low, amp + (low | mask), 1, u);
+    if (!partner_member) {
+      support.push_back(partner);
+      members[partner >> 6] |= std::uint64_t{1} << (partner & 63);
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < support.size(); ++k) {
+    const std::uint64_t i = support[k];
+    if (is_positive_zero(amp[i])) {
+      members[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+    } else {
+      support[kept++] = i;
+    }
+  }
+  support.resize(kept);
+  return true;
+}
+
 }  // namespace
 
 template <typename Real>
 BasicStatevector<Real>::BasicStatevector(std::size_t num_qubits)
     : num_qubits_(num_qubits),
-      amplitudes_(std::uint64_t{1} << num_qubits, C{}) {
+      amplitudes_(std::uint64_t{1} << num_qubits, C{}),
+      basis_(0) {
   QTDA_REQUIRE(num_qubits > 0 && num_qubits <= 30,
                "statevector width " << num_qubits << " unsupported");
   amplitudes_[0] = C{Real{1}, Real{0}};
@@ -167,8 +258,13 @@ typename BasicStatevector<Real>::C BasicStatevector<Real>::amplitude(
 template <typename Real>
 void BasicStatevector<Real>::set_basis_state(std::uint64_t index) {
   QTDA_REQUIRE(index < dimension(), "basis index out of range");
-  std::fill(amplitudes_.begin(), amplitudes_.end(), C{});
+  if (basis_) {
+    amplitudes_[*basis_] = C{};
+  } else {
+    std::fill(amplitudes_.begin(), amplitudes_.end(), C{});
+  }
   amplitudes_[index] = C{Real{1}, Real{0}};
+  basis_ = index;
 }
 
 template <typename Real>
@@ -176,6 +272,7 @@ void BasicStatevector<Real>::set_amplitudes(std::vector<C> amplitudes) {
   QTDA_REQUIRE(amplitudes.size() == dimension(),
                "amplitude vector length mismatch");
   amplitudes_ = std::move(amplitudes);
+  basis_.reset();
 }
 
 template <typename Real>
@@ -211,6 +308,7 @@ template <typename Real>
 void BasicStatevector<Real>::single_qubit_kernel(C u00, C u01, C u10, C u11,
                                                  std::uint64_t mask,
                                                  std::uint64_t cmask) {
+  basis_.reset();
   const std::uint64_t dim = dimension();
   C* amp = amplitudes_.data();
   const C u[4] = {u00, u01, u10, u11};
@@ -257,6 +355,7 @@ void BasicStatevector<Real>::block_kernel(
     const C* u, std::uint64_t tmask, std::uint64_t cmask,
     const std::vector<std::uint64_t>& offset, std::vector<C>& scratch,
     std::vector<C>& scratch_out) {
+  basis_.reset();
   const std::uint64_t block = offset.size();
   C* amp = amplitudes_.data();
 
@@ -317,6 +416,7 @@ void BasicStatevector<Real>::operator_kernel(
     const LinearOperator& op, bool contiguous,
     const std::vector<std::uint64_t>& offset,
     const std::vector<std::uint64_t>& bases, ExecutionScratch& scratch) {
+  basis_.reset();
   const std::uint64_t block = op.dimension();
   const std::size_t block_bytes = static_cast<std::size_t>(block) * sizeof(C);
   // Batch blocks through packed buffers so the operator can amortize setup
@@ -381,6 +481,7 @@ template <typename Real>
 void BasicStatevector<Real>::two_qubit_kernel(const C* u,
                                               std::uint64_t mask_high,
                                               std::uint64_t mask_low) {
+  basis_.reset();
   // mask_high carries local bit 1 (targets[0]), mask_low local bit 0
   // (targets[1]) — the gather order of block_kernel, so results match the
   // generic path bit for bit.
@@ -446,6 +547,7 @@ void BasicStatevector<Real>::two_qubit_kernel(const C* u,
 template <typename Real>
 void BasicStatevector<Real>::diagonal_kernel(const C* table,
                                              const DiagonalExtract& extract) {
+  basis_.reset();
   // One multiply per amplitude, however many gates the diagonal absorbed:
   // the big fusion win of the controlled-phase-dominated QPE networks.
   const std::uint64_t dim = dimension();
@@ -460,8 +562,21 @@ void BasicStatevector<Real>::apply_plan(const ExecutionPlan& plan) {
                "plan width " << plan.num_qubits()
                              << " does not match state width " << num_qubits_);
   ExecutionScratch& scratch = plan.scratch();
-  for_each_plan_op_accounted(
-      plan, [&](const CompiledOp& op) { apply_plan_op(op, scratch); });
+  bool folding = basis_.has_value();
+  if (folding) begin_fold(scratch, dimension(), *basis_);
+  basis_.reset();
+  std::uint64_t folded = 0;
+  for_each_plan_op_accounted(plan, [&](const CompiledOp& op) {
+    if (folding) {
+      if (fold_op(amplitudes_.data(), dimension(), op, scratch)) {
+        ++folded;
+        return;
+      }
+      folding = false;
+    }
+    apply_plan_op(op, scratch);
+  });
+  QTDA_COUNTER_ADD("exec.ops.folded", folded);
   if (plan.global_phase() != 0.0) apply_global_phase(plan.global_phase());
 }
 
@@ -516,6 +631,7 @@ void BasicStatevector<Real>::apply_global_phase(double phi) {
   const C factor{static_cast<Real>(std::cos(phi)),
                  static_cast<Real>(std::sin(phi))};
   for (C& a : amplitudes_) a *= factor;
+  basis_.reset();
 }
 
 template <typename Real>
@@ -591,6 +707,7 @@ void BasicStatevector<Real>::normalize() {
   const double inv = 1.0 / std::sqrt(n2);
   const Real scale = static_cast<Real>(inv);
   for (C& a : amplitudes_) a *= scale;
+  basis_.reset();
 }
 
 template <typename Real>

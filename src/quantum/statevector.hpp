@@ -8,6 +8,14 @@
 /// reductions behind marginals and norms above 2^17 amplitudes and the
 /// operator gates' batches of right-hand sides.
 ///
+/// The engine remembers when it holds exactly one basis state |b⟩: after
+/// construction and after set_basis_state(b), until anything else writes
+/// the amplitudes.  apply_plan uses that mark to run a plan's leading
+/// single-qubit ops on the support of |b⟩ alone (the estimator's
+/// purification ladder and precision H wall touch 2^(t+q) of the 2^(t+2q)
+/// amplitudes), with the bytes a full sweep would give; set_basis_state
+/// uses it to clear one amplitude instead of refilling the register.
+///
 /// The engine is `BasicStatevector<Real>` with `Real` ∈ {double, float}
 /// (explicitly instantiated in statevector.cpp): complex128 is the default
 /// and the reference arithmetic, complex64 halves the memory traffic of
@@ -21,6 +29,7 @@
 
 #include <complex>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/random.hpp"
@@ -72,11 +81,18 @@ class BasicStatevector {
   /// Mutable view of the 2^n amplitudes (length dimension()) for in-place
   /// channel kernels — the exact depolarizing channel rewrites vec(ρ)
   /// directly instead of copying the full vector out and back in.  Callers
-  /// own normalization, exactly as with set_amplitudes().
-  C* mutable_amplitudes() { return amplitudes_.data(); }
+  /// own normalization, exactly as with set_amplitudes().  Clears the basis
+  /// mark, since the caller may write through the pointer.
+  C* mutable_amplitudes() {
+    basis_.reset();
+    return amplitudes_.data();
+  }
   C amplitude(std::uint64_t index) const;
 
-  /// Resets to the computational basis state |index⟩.
+  /// Resets to the computational basis state |index⟩ and marks the state
+  /// as that basis state.  On a state still marked (nothing has written the
+  /// amplitudes since construction or the last reset) it clears the one
+  /// nonzero amplitude instead of refilling all 2^n.
   void set_basis_state(std::uint64_t index);
 
   /// Sets arbitrary amplitudes (must have length 2^n; normalized by caller
@@ -113,6 +129,20 @@ class BasicStatevector {
   /// the result is bit-identical to applying the source gates one by one
   /// through apply_gate; with fusion it agrees to ~1e-12 (dense blocks
   /// reassociate the floating-point order).
+  ///
+  /// On a state marked as the basis state |b⟩ (see set_basis_state), the
+  /// plan's leading kSingleQubit ops are folded: each runs, in place and
+  /// with the scalar pair update, only on the pairs that meet the support
+  /// of the evolving state (the amplitudes that are not +0), and the
+  /// register outside the support is never read.  The vector sweeps match
+  /// that update bit for bit, so the result is the swept one byte for byte.
+  /// The fold stops at the first op that is not a single-qubit op, whose
+  /// update of a zero pair is not +0 (the sweep would write that to every
+  /// pair the fold skips), or that could grow the support past 1/16 of the
+  /// register; that op and the rest are swept.  Folded ops count in
+  /// exec.ops.single_qubit / exec.ns.single_qubit like swept ones, and in
+  /// exec.ops.folded.  The support list and its membership bitmap live in
+  /// the plan's scratch arena.
   void apply_plan(const ExecutionPlan& plan);
   /// One stochastic noisy trajectory of a plan compiled with
   /// preserve_noise_slots, on the current state: after each op, one
@@ -174,6 +204,9 @@ class BasicStatevector {
 
   std::size_t num_qubits_;
   std::vector<C> amplitudes_;
+  /// b while the state is exactly |b⟩ with every other amplitude +0 bytes;
+  /// cleared by every kernel and every other write of the amplitudes.
+  std::optional<std::uint64_t> basis_;
 };
 
 /// The historical (and default) double-precision engine.
