@@ -194,7 +194,7 @@ struct ExecutionScratch {
   std::vector<std::uint32_t> hash_slots;
   std::vector<std::uint32_t> block_source;
   /// The basis-state fold of a statevector's apply_plan (both precisions):
-  /// the indices of the amplitudes it may have made nonzero, and a
+  /// the indices of the amplitudes that are not +0 (the support), and a
   /// membership bitmap over the register, one bit per amplitude.
   std::vector<std::uint64_t> fold_support;
   std::vector<std::uint64_t> fold_members;

@@ -133,8 +133,8 @@ class BasicStatevector {
   /// On a state marked as the basis state |b⟩ (see set_basis_state), the
   /// plan's leading kSingleQubit ops are folded: each runs, in place and
   /// with the scalar pair update, only on the pairs that meet the support
-  /// of the evolving state (the amplitudes that are not +0), and the
-  /// register outside the support is never read.  The vector sweeps match
+  /// of the evolving state (the amplitudes that are not +0); pairs wholly
+  /// outside the support are never touched.  The vector sweeps match
   /// that update bit for bit, so the result is the swept one byte for byte.
   /// The fold stops at the first op that is not a single-qubit op, whose
   /// update of a zero pair is not +0 (the sweep would write that to every

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
